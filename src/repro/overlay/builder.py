@@ -13,11 +13,17 @@ Node ``i`` of the instance corresponds to ``peers[i]``; the peers'
 ids, stable under churn) — metrics and tie-breaking always use the
 external id, so a peer's preferences do not change when unrelated peers
 join or leave.
+
+:class:`RankedLists` keeps the same lists alive across churn for the
+long-lived overlays of :mod:`repro.overlay.churn`: in external-id
+space, sorted by the same :func:`ranking_key`, and updated by bisection
+so an event scores only the pairs it touches.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from bisect import bisect_left, insort
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.core.preferences import PreferenceSystem
 from repro.overlay.metrics import MetricAssignment, SuitabilityMetric
@@ -25,7 +31,24 @@ from repro.overlay.peer import Peer
 from repro.overlay.topology import Topology
 from repro.utils.validation import InvalidInstanceError
 
-__all__ = ["build_preference_system"]
+__all__ = ["RankedLists", "build_preference_system", "peer_scorer", "ranking_key"]
+
+RankKey = tuple[float, int]
+
+
+def ranking_key(score: float, peer_id: int) -> RankKey:
+    """Sort key of a candidate in a preference list: best score first,
+    ties to the lower peer id.  Every list of the library sorts by it."""
+    return (-score, peer_id)
+
+
+def peer_scorer(
+    metric: SuitabilityMetric | MetricAssignment,
+) -> Callable[[Peer, Peer], float]:
+    """``score(a, b)``: how ``a`` rates ``b`` under ``a``'s own metric."""
+    if isinstance(metric, MetricAssignment):
+        return metric.score
+    return metric
 
 
 def build_preference_system(
@@ -68,20 +91,120 @@ def build_preference_system(
         for i, peer in enumerate(peers):
             peer.position = topology.positions[i]
 
-    if isinstance(metric, MetricAssignment):
-        def score(i: int, j: int) -> float:
-            return metric.score(peers[i], peers[j])
-    else:
-        def score(i: int, j: int) -> float:
-            return metric(peers[i], peers[j])
-
+    score = peer_scorer(metric)
     rankings = {
         i: sorted(
             topology.adjacency[i],
-            key=lambda j: (-score(i, j), peers[j].peer_id),
+            key=lambda j: ranking_key(score(peers[i], peers[j]), peers[j].peer_id),
         )
         for i in range(topology.n)
     }
     if quotas is None:
         quotas = [p.quota for p in peers]
     return PreferenceSystem(rankings, list(quotas))
+
+
+class RankedLists:
+    """Every peer's preference list in external-id space, kept sorted.
+
+    ``peers`` is the caller's live ``peer_id -> Peer`` mapping (read
+    whenever a pair is scored).  Each list holds :func:`ranking_key`
+    tuples in ascending order, so it equals the list
+    :func:`build_preference_system` would sort from scratch; churn
+    updates it by bisection and scores only the pairs an event touches:
+
+    - :meth:`join` scores the joiner's ``k`` neighbours and inserts the
+      joiner into each of their lists: ``2k`` metric calls;
+    - :meth:`leave` removes a peer from its neighbours' lists: none;
+    - :meth:`rescore` re-ranks a moved peer and re-inserts it into each
+      neighbour's list: ``2·deg`` calls.
+    """
+
+    __slots__ = ("_score", "_peers", "_keys", "_key")
+
+    def __init__(
+        self,
+        metric: SuitabilityMetric | MetricAssignment,
+        peers: Mapping[int, Peer],
+    ):
+        self._score = peer_scorer(metric)
+        self._peers = peers
+        #: peer -> its list's keys, ascending (best candidate first)
+        self._keys: dict[int, list[RankKey]] = {}
+        #: peer -> candidate -> that candidate's key in the peer's list
+        self._key: dict[int, dict[int, RankKey]] = {}
+
+    def rank_all(self, adjacency: Mapping[int, Iterable[int]]) -> None:
+        """Re-score every list from the metric (each directed pair once)."""
+        self._keys.clear()
+        self._key.clear()
+        for pid, neighbours in adjacency.items():
+            self._rank(pid, neighbours)
+
+    def _rank(self, pid: int, neighbours: Iterable[int]) -> None:
+        me, peers, score = self._peers[pid], self._peers, self._score
+        keys = {q: ranking_key(score(me, peers[q]), q) for q in neighbours}
+        self._key[pid] = keys
+        self._keys[pid] = sorted(keys.values())
+
+    def _insert(self, pid: int, q: int) -> None:
+        key = ranking_key(self._score(self._peers[pid], self._peers[q]), q)
+        self._key[pid][q] = key
+        insort(self._keys[pid], key)
+
+    def _remove(self, pid: int, q: int) -> None:
+        keys = self._keys[pid]
+        del keys[bisect_left(keys, self._key[pid].pop(q))]
+
+    # -- churn ------------------------------------------------------------
+
+    def join(self, pid: int, neighbours: Iterable[int]) -> None:
+        """Rank a new peer's neighbourhood and enter it into theirs."""
+        neighbours = list(neighbours)
+        self._rank(pid, neighbours)
+        for q in neighbours:
+            self._insert(q, pid)
+
+    def leave(self, pid: int) -> None:
+        """Drop a peer's list and remove it from its neighbours' lists."""
+        for q in self._key.pop(pid):
+            self._remove(q, pid)
+        del self._keys[pid]
+
+    def rescore(self, pid: int) -> None:
+        """Re-rank a peer whose attributes changed, in both directions."""
+        neighbours = list(self._key[pid])
+        self._rank(pid, neighbours)
+        for q in neighbours:
+            self._remove(q, pid)
+            self._insert(q, pid)
+
+    # -- queries ----------------------------------------------------------
+
+    def __contains__(self, pid: int) -> bool:
+        return pid in self._keys
+
+    def peers(self) -> Iterable[int]:
+        """Every ranked peer (a set-like view)."""
+        return self._keys.keys()
+
+    def ranked(self, pid: int) -> list[int]:
+        """``pid``'s preference list, best candidate first."""
+        return [q for _, q in self._keys[pid]]
+
+    def neighbors(self, pid: int) -> Iterable[int]:
+        """``pid``'s candidates, unordered."""
+        return self._key[pid].keys()
+
+    def length(self, pid: int) -> int:
+        """List length ``ℓ``."""
+        return len(self._keys[pid])
+
+    def rank(self, pid: int, q: int) -> int:
+        """Rank ``R_pid(q)`` (0 = best)."""
+        return bisect_left(self._keys[pid], self._key[pid][q])
+
+    def quota(self, pid: int) -> int:
+        """``pid``'s quota clamped to its list length, as
+        :class:`~repro.core.preferences.PreferenceSystem` clamps it."""
+        return min(self._peers[pid].quota, len(self._keys[pid]))

@@ -27,20 +27,26 @@ compares against the from-scratch re-run (the results are verified
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from heapq import heappop, heappush
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.core.backend import resolve_backend_name
 from repro.core.fast import FastInstance, lic_matching_fast
 from repro.core.lic import lic_matching
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceSystem
-from repro.core.satisfaction import delta_static
 from repro.core.weights import WeightTable, satisfaction_weights
-from repro.overlay.builder import build_preference_system
+from repro.overlay.builder import RankedLists, build_preference_system
 from repro.overlay.metrics import MetricAssignment, SuitabilityMetric
 from repro.overlay.peer import Peer
 from repro.overlay.topology import Topology
-from repro.utils.validation import InvalidInstanceError, ProtocolError
+from repro.utils.validation import (
+    InvalidInstanceError,
+    InvalidMatchingError,
+    ProtocolError,
+)
 
 __all__ = ["RepairStats", "DynamicOverlay", "WeightCache", "greedy_repair"]
 
@@ -85,29 +91,32 @@ class RepairStats:
 
 
 class WeightCache:
-    """Incremental eq.-9 weight store keyed by *external* peer-id pairs.
+    """The fast backend's eq.-9 weights, kept in place under churn.
 
-    A churn event only changes the preference lists (hence list lengths,
-    ranks and clamped quotas) of the joining/leaving peer and its
-    overlay neighbours; every other edge keeps its exact eq.-9 weight.
-    The cache exploits this: :meth:`refresh` rebuilds the weight dict
-    for the current edge set (pruning edges of departed peers as a side
-    effect) but only *recomputes* weights incident to the declared
-    weight-dirty peers, copying everything else from the previous event.
+    Keys are external peer-id pairs ``(min_pid, max_pid)`` and values
+    the eq.-9 weights of the :class:`~repro.overlay.builder.RankedLists`
+    the cache reads.  A churn event changes the lists (hence list
+    lengths, ranks and clamped quotas) of the joining, leaving or moving
+    peer and its neighbours only; every other edge keeps its exact
+    weight.  :meth:`refresh` therefore recomputes only the edges
+    incident to the declared weight-dirty peers, a leaver's edges are
+    popped by :meth:`drop`, and nothing else is touched.
 
-    Keys are stable external peer ids, so entries survive the
-    compaction remap that follows every churn event.  Recomputed values
-    use the same scalar arithmetic as the reference
-    (:func:`repro.core.satisfaction.delta_static`), and the bulk fill
-    uses :class:`repro.core.fast.FastInstance` — both bit-identical, so
-    a cached table is indistinguishable from a fresh
+    Recomputed values use the scalar arithmetic of
+    :func:`repro.core.satisfaction.delta_static` (lower-id side first)
+    and the bulk fill uses :class:`repro.core.fast.FastInstance`; both
+    are bit-identical to a fresh
     :func:`~repro.core.weights.satisfaction_weights` build.
+
+    With :meth:`key` and :meth:`neighbors` the cache is also the weight
+    view :func:`greedy_repair` reads in external-id space.
     """
 
-    __slots__ = ("_w",)
+    __slots__ = ("_w", "_lists")
 
-    def __init__(self) -> None:
+    def __init__(self, lists: RankedLists) -> None:
         self._w: dict[tuple[int, int], float] = {}
+        self._lists = lists
 
     def __len__(self) -> int:
         return len(self._w)
@@ -123,65 +132,97 @@ class WeightCache:
             for a, b, w in zip(fi.i.tolist(), fi.j.tolist(), fi.w.tolist())
         }
 
-    def refresh(
-        self,
-        ps: PreferenceSystem,
-        ids: list[int],
-        weight_dirty: "set[int] | frozenset[int]",
-    ) -> tuple[WeightTable, int, int]:
-        """Weight table for the compact instance; returns ``(wt, reused, recomputed)``.
+    def drop(self, pid: int, neighbours: Iterable[int]) -> None:
+        """Pop the edges of a departing peer."""
+        for q in neighbours:
+            self._w.pop((pid, q) if pid < q else (q, pid), None)
 
-        ``weight_dirty`` holds the external ids whose preference lists
-        may have changed since the previous refresh; every edge touching
-        one of them is recomputed, the rest are copied forward.
+    def refresh(self, weight_dirty: "set[int] | frozenset[int]") -> tuple[int, int]:
+        """Bring the weights up to date in place; returns ``(reused, recomputed)``.
+
+        ``weight_dirty`` holds the peers whose lists may have changed
+        since the previous refresh; every edge touching one of them is
+        recomputed and the rest are reused.  An empty store is filled
+        whole and reports ``(0, m)``.
         """
-        if not self._w:
-            # cold start: vectorised bulk fill, everything "recomputed"
-            fi = FastInstance.from_preference_system(ps)
-            i_list, j_list, w_list = fi.i.tolist(), fi.j.tolist(), fi.w.tolist()
-            self._w = {
-                (ids[a], ids[b]): w for a, b, w in zip(i_list, j_list, w_list)
-            }
-            compact = dict(zip(zip(i_list, j_list), w_list))
-            return WeightTable.from_trusted(compact, ps.n), 0, len(compact)
-        new: dict[tuple[int, int], float] = {}
-        compact: dict[tuple[int, int], float] = {}
-        cached = self._w
-        reused = recomputed = 0
-        for a, b in ps.edges():
-            pa, pb = ids[a], ids[b]  # ids is sorted, so pa < pb
-            w = cached.get((pa, pb))
-            if w is None or pa in weight_dirty or pb in weight_dirty:
-                w = delta_static(ps, a, b) + delta_static(ps, b, a)
+        lists, w = self._lists, self._w
+        if not w:
+            weight_dirty = lists.peers()
+        recomputed = 0
+        for p in weight_dirty:
+            if p not in lists:
+                continue
+            ell_p, b_p = lists.length(p), lists.quota(p)
+            for r_p, q in enumerate(lists.ranked(p)):
+                if q < p and q in weight_dirty:
+                    continue  # recomputed from q's side
+                d_p = (1.0 - r_p / ell_p) / b_p
+                d_q = (1.0 - lists.rank(q, p) / lists.length(q)) / lists.quota(q)
+                if p < q:
+                    w[(p, q)] = d_p + d_q
+                else:
+                    w[(q, p)] = d_q + d_p
                 recomputed += 1
-            else:
-                reused += 1
-            new[(pa, pb)] = w
-            compact[(a, b)] = w
-        self._w = new
-        return WeightTable.from_trusted(compact, ps.n), reused, recomputed
+        return len(w) - recomputed, recomputed
+
+    # -- the weight view greedy_repair reads -------------------------------
+
+    def key(self, a: int, b: int) -> tuple[float, int, int]:
+        """Total-order key ``(w, min, max)`` of edge ``(a, b)``."""
+        if b < a:
+            a, b = b, a
+        return (self._w[(a, b)], a, b)
+
+    def neighbors(self, pid: int) -> Iterable[int]:
+        """``pid``'s overlay neighbours."""
+        return self._lists.neighbors(pid)
+
+
+#: bars of the repair loop: below every edge key (spare quota) and above
+#: every edge key (a node with quota 0 takes nothing)
+_SPARE = (float("-inf"),)
+_NEVER = (float("inf"),)
 
 
 def greedy_repair(
-    wt: WeightTable,
-    quotas: "list[int] | Sequence[int]",
-    matching: Matching,
+    wt: "WeightTable | WeightCache",
+    quotas: "Sequence[int] | Callable[[int], int]",
+    matching: "Matching | dict[int, set[int]]",
     dirty: "set[int] | Iterable[int]",
     max_steps: int = 1_000_000,
     budget: Optional[int] = None,
 ) -> RepairStats:
     """Restore the no-weighted-blocking-edge fixpoint from a local change.
 
-    Repeatedly finds the heaviest blocking edge incident to the dirty
-    region, adds it (endpoints over quota drop their lightest partner,
-    which joins the dirty region) until no blocking edge remains.
-    Mutates ``matching`` in place.
+    Repeatedly resolves the heaviest blocking edge incident to the dirty
+    region: the edge is added, endpoints over quota drop their lightest
+    partner, which joins the dirty region, until no blocking edge
+    remains.  Mutates ``matching`` in place.
+
+    Two id spaces share the loop:
+
+    - **compact** — ``wt`` a :class:`WeightTable`, ``quotas`` a
+      sequence, ``matching`` a :class:`Matching` over the same nodes;
+    - **external** — the live state of a fast-backend
+      :class:`DynamicOverlay`: ``wt`` its :class:`WeightCache`,
+      ``quotas`` a callable giving a peer's clamped quota, ``matching``
+      the ``peer_id -> partner set`` dict, and ``dirty`` a set of live
+      peers, extended in place to the region the repair touched.
+
+    Candidates sit in a max-heap keyed by the total order ``(w, min,
+    max)`` and are re-checked when popped; after a resolution only the
+    peers that lost a partner or just joined the dirty region are
+    rescanned.  Compaction preserves peer-id order, so both id spaces
+    break every tie alike and make the same resolutions.
 
     Correctness: every edge whose blocking status may have changed is
     incident to a dirty node — initial dirtiness covers all nodes whose
     weights or adjacency changed, and each resolution dirties every node
-    it touches.  Termination: weight keys are a strict total order, and
-    each resolution strictly improves the lexicographic profile of both
+    it touches.  A node that gains a partner only wants *less*, so its
+    edges can only stop blocking (caught when popped); an edge can start
+    blocking only at a node that lost a partner, which is rescanned.
+    Termination: weight keys are a strict total order, and each
+    resolution strictly improves the lexicographic profile of both
     endpoints (standard acyclic-potential argument for globally ranked
     preferences).
 
@@ -195,6 +236,8 @@ def greedy_repair(
       weight no longer exists (a partner left while still listed, or an
       overlay edge vanished) are scrubbed first, their surviving
       endpoints joining the dirty region (``stats.stale_dropped``).
+      The external form relies on the overlay's own bookkeeping
+      instead: a leave has already dropped the leaver's partnerships.
     - An empty or fully-departed instance returns a well-formed
       zero :class:`RepairStats`.
     - ``budget`` caps the number of resolutions: when it runs out the
@@ -203,73 +246,101 @@ def greedy_repair(
       instead of raising — the almost-stable degraded mode of
       Floréen et al. that the service trades against a full re-solve.
     """
-    n = wt.n
-    if len(quotas) != n:
-        raise InvalidInstanceError(
-            f"quotas sized for {len(quotas)} nodes but weight table has {n}"
-        )
-    if matching.n != n:
-        raise InvalidInstanceError(
-            f"matching sized for {matching.n} nodes but weight table has {n}"
-        )
-    if any(q < 0 for q in quotas):
-        raise InvalidInstanceError(f"negative quota in {quotas!r}")
     if budget is not None and budget < 0:
         raise InvalidInstanceError(f"repair budget must be >= 0, got {budget}")
-
     stats = RepairStats()
-    dirty = {v for v in dirty if 0 <= v < n}
-    if n == 0:
-        return stats
+    if isinstance(matching, Matching):
+        n = wt.n
+        if len(quotas) != n:
+            raise InvalidInstanceError(
+                f"quotas sized for {len(quotas)} nodes but weight table has {n}"
+            )
+        if matching.n != n:
+            raise InvalidInstanceError(
+                f"matching sized for {matching.n} nodes but weight table has {n}"
+            )
+        if any(q < 0 for q in quotas):
+            raise InvalidInstanceError(f"negative quota in {quotas!r}")
+        dirty = {v for v in dirty if 0 <= v < n}
+        if n == 0:
+            return stats
+        # scrub stale matched edges (endpoint departed / edge withdrawn):
+        # they no longer exist in the instance, so they must neither block
+        # candidate edges nor survive into the repaired matching
+        for a, b in matching.edges():
+            if not wt.has_edge(a, b):
+                matching.remove(a, b)
+                stats.stale_dropped += 1
+                dirty.update((a, b))
+        # the loop edits connection sets in place, as it does partner sets
+        conn, quota = matching._conn, quotas.__getitem__
+    else:
+        conn, quota = matching, quotas
 
-    # scrub stale matched edges (endpoint departed / edge withdrawn):
-    # they no longer exist in the instance, so they must neither block
-    # candidate edges nor survive into the repaired matching
-    for a, b in matching.edges():
-        if not wt.has_edge(a, b):
-            matching.remove(a, b)
-            stats.stale_dropped += 1
-            dirty.update((a, b))
+    key, neighbours = wt.key, wt.neighbors
+    # bar[v]: the key an edge at v must beat for v to take it — below
+    # every key while v has spare quota, else its lightest partner's key
+    bar: dict[int, tuple] = {}
 
-    def wants(v: int, u: int) -> bool:
-        if matching.degree(v) < quotas[v]:
-            return True
-        key = wt.key(v, u)
-        return any(wt.key(v, c) < key for c in matching.connections(v))
+    def bar_of(v: int) -> tuple:
+        if v not in bar:
+            mine = conn[v]
+            if len(mine) < quota(v):
+                bar[v] = _SPARE
+            else:
+                bar[v] = min((key(v, c) for c in mine), default=_NEVER)
+        return bar[v]
 
-    steps = 0
-    while True:
-        best: Optional[tuple] = None
-        best_edge: Optional[tuple[int, int]] = None
-        for v in dirty:
-            for u in wt.neighbors(v):
-                stats.edges_scanned += 1
-                if matching.has_edge(v, u):
-                    continue
-                if wants(v, u) and wants(u, v):
-                    k = wt.key(v, u)
-                    if best is None or k > best:
-                        best = k
-                        best_edge = (v, u)
-        if best_edge is None:
-            break
+    heap: list[tuple[float, int, int]] = []
+
+    def scan(v: int) -> None:
+        mine = conn[v]
+        for u in neighbours(v):
+            stats.edges_scanned += 1
+            if u in mine:
+                continue
+            k = key(v, u)
+            if bar_of(v) < k and bar_of(u) < k:
+                # negated: heapq pops the smallest key, we want the heaviest
+                heappush(heap, (-k[0], -k[1], -k[2]))
+
+    for v in dirty:
+        scan(v)
+    while heap:
+        nw, na, nb = heappop(heap)
+        i, j = -na, -nb
+        k = (-nw, i, j)
+        if j in conn[i] or not (bar_of(i) < k and bar_of(j) < k):
+            continue  # resolved or outbid since it was pushed
         if budget is not None and stats.resolutions >= budget:
             # a blocking edge remains but the budget is spent: stop with
             # a feasible almost-stable matching instead of raising
             stats.truncated = True
             break
-        i, j = best_edge
+        rescan = []
         for v in (i, j):
-            if matching.degree(v) >= quotas[v]:
-                worst = min(matching.connections(v), key=lambda c: wt.key(v, c))
-                matching.remove(v, worst)
+            lightest = bar_of(v)
+            if lightest is not _SPARE:
+                # at quota: drop the lightest partner
+                _, a, b = lightest
+                worst = b if a == v else a
+                conn[v].discard(worst)
+                conn[worst].discard(v)
+                bar.pop(worst, None)
                 dirty.add(worst)
-        matching.add(i, j)
-        dirty.update((i, j))
+                rescan.append(worst)
+            bar.pop(v)
+        conn[i].add(j)
+        conn[j].add(i)
+        for v in (i, j):
+            if v not in dirty:
+                dirty.add(v)
+                rescan.append(v)
         stats.resolutions += 1
-        steps += 1
-        if steps > max_steps:  # pragma: no cover - safety valve
+        if stats.resolutions > max_steps:  # pragma: no cover - safety valve
             raise ProtocolError("repair did not converge; potential argument violated?")
+        for v in rescan:
+            scan(v)
     stats.dirty_nodes = len(dirty)
     return stats
 
@@ -277,9 +348,8 @@ def greedy_repair(
 class DynamicOverlay:
     """A churning overlay with an incrementally maintained greedy matching.
 
-    Peers keep stable external ids; internally every operation works on
-    the compacted id space of currently active peers.  The invariant
-    after construction and after every churn event is::
+    Peers keep stable external ids.  The invariant after construction
+    and after every churn event is::
 
         self.matching == LIC(current instance)   # checked in tests
 
@@ -288,13 +358,21 @@ class DynamicOverlay:
     topology, peers, metric:
         As for :func:`repro.overlay.builder.build_preference_system`.
     backend:
-        ``"reference"`` (default) rebuilds the eq.-9 weight table from
-        scratch on every event; ``"fast"`` keeps a :class:`WeightCache`
-        (only dirty edges are rescaled per event) and runs the
-        array-backed :func:`~repro.core.fast.lic_matching_fast` for full
-        rematches.  Matchings are identical either way — only the cost
-        differs (see ``docs/performance.md``).
+        ``"reference"`` (default) compacts the active peers into a fresh
+        :class:`PreferenceSystem` and eq.-9 weight table on every event.
+        ``"fast"`` keeps the instance alive between events in
+        external-id space: :class:`~repro.overlay.builder.RankedLists`
+        updated by bisection, a :class:`WeightCache` refreshed in place
+        for weight-dirty peers only, and :func:`greedy_repair` running
+        on the partner sets directly; full rematches use the
+        array-backed :func:`~repro.core.fast.lic_matching_fast`.
+        Matchings are identical either way — only the cost differs (see
+        ``docs/performance.md``).
     """
+
+    #: resolutions one repair may make before it stops truncated
+    #: (``None``: every repair runs to the fixpoint)
+    repair_budget: Optional[int] = None
 
     def __init__(
         self,
@@ -304,9 +382,6 @@ class DynamicOverlay:
         backend: str = "reference",
     ):
         self.backend = resolve_backend_name(backend)
-        self._wcache: WeightCache | None = (
-            WeightCache() if self.backend == "fast" else None
-        )
         # external ids whose preference lists changed since the cache
         # was last refreshed (covers repair=False events)
         self._weight_dirty: set[int] = set()
@@ -326,7 +401,16 @@ class DynamicOverlay:
         # matching in external-id space
         self._partners: dict[int, set[int]] = {pid: set() for pid in self._peers}
         self._next_id = max(self._peers, default=-1) + 1
+        self._init_live_state()
         self.full_rematch()
+
+    def _init_live_state(self) -> None:
+        """Empty ranked lists and weight store of the fast backend."""
+        self._lists: RankedLists | None = None
+        self._wcache: WeightCache | None = None
+        if self.backend == "fast":
+            self._lists = RankedLists(self.metric, self._peers)
+            self._wcache = WeightCache(self._lists)
 
     # -- id space ---------------------------------------------------------
 
@@ -335,6 +419,7 @@ class DynamicOverlay:
         return sorted(self._peers)
 
     def _compact_instance(self) -> tuple[PreferenceSystem, list[int], dict[int, int]]:
+        """From-scratch compact instance: the reference every check uses."""
         ids = self.active_ids()
         index = {pid: k for k, pid in enumerate(ids)}
         topo_adj = [
@@ -348,26 +433,21 @@ class DynamicOverlay:
         )
         return ps, ids, index
 
-    def _weights(
-        self, ps: PreferenceSystem, ids: list[int]
-    ) -> tuple[WeightTable, int, int]:
-        """Eq.-9 weights for the compact instance; ``(wt, reused, recomputed)``.
+    def _solve_instance(self) -> tuple[PreferenceSystem, list[int]]:
+        """The compact instance a full re-solve starts from.
 
-        The fast backend serves them from the :class:`WeightCache`,
-        rescaling only edges incident to peers dirtied since the last
-        refresh; the reference backend rebuilds from scratch.
+        The fast backend re-scores every ranked list from the metric —
+        a full re-solve trusts no incremental state — and compacts the
+        fresh lists, so each directed pair is scored once.
         """
-        if self._wcache is None:
-            self._weight_dirty.clear()
-            return satisfaction_weights(ps), 0, 0
-        out = self._wcache.refresh(ps, ids, self._weight_dirty)
-        self._weight_dirty.clear()
-        return out
-
-    def _compact(self) -> tuple[PreferenceSystem, WeightTable, list[int], dict[int, int]]:
-        ps, ids, index = self._compact_instance()
-        wt, _, _ = self._weights(ps, ids)
-        return ps, wt, ids, index
+        if self._lists is None:
+            ps, ids, _ = self._compact_instance()
+            return ps, ids
+        self._lists.rank_all(self._adj)
+        ids = self.active_ids()
+        index = {pid: k for k, pid in enumerate(ids)}
+        rankings = [[index[q] for q in self._lists.ranked(pid)] for pid in ids]
+        return PreferenceSystem(rankings, [self._peers[p].quota for p in ids]), ids
 
     def _matching_compact(self, index: dict[int, int]) -> Matching:
         m = Matching(len(index))
@@ -396,7 +476,7 @@ class DynamicOverlay:
 
     def instance(self) -> tuple[PreferenceSystem, Matching]:
         """Compact snapshot ``(instance, matching)`` for analysis."""
-        ps, _, ids, index = self._compact()
+        ps, _, index = self._compact_instance()
         return ps, self._matching_compact(index)
 
     def total_satisfaction(self) -> float:
@@ -408,15 +488,14 @@ class DynamicOverlay:
 
     def full_rematch(self) -> None:
         """Recompute the matching from scratch (the baseline A3 compares to)."""
-        ps, ids, _ = self._compact_instance()
-        if self.backend == "fast":
+        ps, ids = self._solve_instance()
+        if self._wcache is None:
+            matching = lic_matching(satisfaction_weights(ps), ps.quotas)
+        else:
             fi = FastInstance.from_preference_system(ps)
             matching = lic_matching_fast(fi)
-            assert self._wcache is not None
             self._wcache.seed(fi, ids)
             self._weight_dirty.clear()
-        else:
-            matching = lic_matching(satisfaction_weights(ps), ps.quotas)
         self._store_matching(matching, ids)
 
     def leave(self, peer_id: int, repair: bool = True) -> RepairStats:
@@ -429,6 +508,9 @@ class DynamicOverlay:
         if peer_id not in self._peers:
             raise KeyError(f"unknown peer {peer_id}")
         neighbours = set(self._adj[peer_id])
+        if self._lists is not None:
+            self._wcache.drop(peer_id, neighbours)
+            self._lists.leave(peer_id)
         del self._peers[peer_id]
         for q in neighbours:
             self._adj[q].discard(peer_id)
@@ -451,19 +533,29 @@ class DynamicOverlay:
         neighbours: Iterable[int],
         repair: bool = True,
     ) -> tuple[int, RepairStats]:
-        """Add a peer knowing ``neighbours``; returns ``(peer_id, stats)``."""
-        pid = self._next_id
-        self._next_id += 1
-        peer.peer_id = pid
+        """Add a peer knowing ``neighbours``; returns ``(peer_id, stats)``.
+
+        The input is checked before any state changes: an unknown
+        neighbour raises :class:`KeyError` and a non-finite position
+        :class:`ValueError`, and neither consumes a peer id nor touches
+        ``peer``.
+        """
         neigh = set(neighbours)
         unknown = neigh - set(self._peers)
         if unknown:
             raise KeyError(f"unknown neighbours {sorted(unknown)}")
+        if not np.all(np.isfinite(peer.position)):
+            raise ValueError(f"joining peer has a non-finite position {peer.position!r}")
+        pid = self._next_id
+        self._next_id += 1
+        peer.peer_id = pid
         self._peers[pid] = peer
         self._adj[pid] = set(neigh)
         for q in neigh:
             self._adj[q].add(pid)
         self._partners[pid] = set()
+        if self._lists is not None:
+            self._lists.join(pid, neigh)
         # the joiner and its neighbours gained a list entry
         self._weight_dirty |= neigh
         self._weight_dirty.add(pid)
@@ -471,24 +563,76 @@ class DynamicOverlay:
             return pid, RepairStats()
         return pid, self._repair(dirty_external=neigh | {pid})
 
-    def _repair(self, dirty_external: set[int]) -> RepairStats:
-        # A churn event changes the preference-list lengths of the nodes
-        # in `dirty_external`, which rescales *all* their eq.-9 edge
-        # weights.  An edge (y, z) can change blocking status whenever y
-        # or z has a (possibly matched) edge whose weight changed, so
-        # the seed must include one hop of neighbours around the changed
-        # nodes; the repair wave extends it further as it drops partners.
-        expanded = set(dirty_external)
+    def _repair(self, dirty_external: "set[int] | Iterable[int]") -> RepairStats:
+        """Repair the region an event touched; the one repair path.
+
+        A churn event changes the preference-list lengths of the nodes
+        in ``dirty_external``, which rescales *all* their eq.-9 edge
+        weights.  An edge (y, z) can change blocking status whenever y
+        or z has a (possibly matched) edge whose weight changed, so the
+        seed includes one hop of neighbours around the changed nodes;
+        the repair wave extends it further as it drops partners.
+        """
+        if self._full_resolve_due():
+            self.full_rematch()
+            return self._account(RepairStats(), full=True)
+        seed = set(dirty_external)
         for pid in dirty_external:
-            expanded.update(self._adj.get(pid, ()))
-        ps, ids, index = self._compact_instance()
-        wt, reused, recomputed = self._weights(ps, ids)
-        dirty_external = expanded
-        matching = self._matching_compact(index)
-        dirty = {index[pid] for pid in dirty_external if pid in index}
-        stats = greedy_repair(wt, list(ps.quotas), matching, dirty)
-        stats.weights_reused = reused
-        stats.weights_recomputed = recomputed
-        matching.validate(ps)
-        self._store_matching(matching, ids)
+            seed.update(self._adj.get(pid, ()))
+        if self._wcache is None:
+            ps, ids, index = self._compact_instance()
+            self._weight_dirty.clear()
+            matching = self._matching_compact(index)
+            stats = greedy_repair(
+                satisfaction_weights(ps),
+                list(ps.quotas),
+                matching,
+                {index[pid] for pid in seed if pid in index},
+                budget=self.repair_budget,
+            )
+            matching.validate(ps)
+            self._store_matching(matching, ids)
+        else:
+            reused, recomputed = self._wcache.refresh(self._weight_dirty)
+            self._weight_dirty.clear()
+            region = {pid for pid in seed if pid in self._peers}
+            stats = greedy_repair(
+                self._wcache,
+                self._lists.quota,
+                self._partners,
+                region,
+                budget=self.repair_budget,
+            )
+            stats.weights_reused = reused
+            stats.weights_recomputed = recomputed
+            self._check_region(region)
+        return self._account(stats, full=False)
+
+    def _check_region(self, region: set[int]) -> None:
+        """Capacity and adjacency of every peer a repair touched.
+
+        Peers outside the region kept their partners, lists and quotas
+        through the event, so this prices the check by the region.
+        """
+        for pid in region:
+            mine = self._partners[pid]
+            quota = self._lists.quota(pid)
+            if len(mine) > quota:
+                raise InvalidMatchingError(
+                    f"peer {pid} has {len(mine)} connections, quota {quota}"
+                )
+            if not mine <= self._adj[pid]:
+                raise InvalidMatchingError(
+                    f"peer {pid} matched to non-neighbours"
+                    f" {sorted(mine - self._adj[pid])}"
+                )
+
+    # -- policy hooks (the service overrides them) --------------------------
+
+    def _full_resolve_due(self) -> bool:
+        """Whether the next event is answered by a full re-solve instead."""
+        return False
+
+    def _account(self, stats: RepairStats, full: bool) -> RepairStats:
+        """Act on a finished repair (``full``: it was a full re-solve)."""
         return stats

@@ -4,7 +4,7 @@ The service's incremental state is only trustworthy because we can
 check it, at any moment, against a from-scratch authority:
 
 1. compact the live overlay into a fresh
-   :class:`~repro.core.prefs.PreferenceSystem`;
+   :class:`~repro.core.preferences.PreferenceSystem`;
 2. run the :mod:`repro.testing` oracles (quota, edge locality, mutual
    consistency) on the served matching;
 3. rebuild eq.-9 weights from scratch and count

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,8 +74,9 @@ class ChurnEvent:
     quota:
         The joiner's connection quota ``b_i``.
     position:
-        Unit-square coordinates — the joiner's position, or the new
-        position of an ``update`` victim (which re-ranks its region).
+        Unit-square coordinates, exactly two finite numbers — the
+        joiner's position, or the new position of an ``update`` victim
+        (which re-ranks its region).
     """
 
     seq: int
@@ -89,6 +92,17 @@ class ChurnEvent:
             raise ValueError(f"unknown event kind {self.kind!r}; known: {EVENT_KINDS}")
         if not (0 <= self.r < _R_MAX):
             raise ValueError(f"selector entropy {self.r} outside [0, 2**53)")
+        # a NaN or infinite score would corrupt the ranked lists, a third
+        # coordinate the distance metric: reject both at the boundary
+        if len(self.position) != 2 or not all(
+            isinstance(x, numbers.Real)
+            and not isinstance(x, bool)
+            and math.isfinite(x)
+            for x in self.position
+        ):
+            raise ValueError(
+                f"position must be two finite floats, got {self.position!r}"
+            )
 
     def to_record(self) -> dict:
         return {

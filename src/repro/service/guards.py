@@ -13,10 +13,11 @@ service's external-id state).  Checks:
 - **mutual consent** — every matched edge joins two live peers that are
   overlay neighbours, and partnership is symmetric;
 - **eq.-9 weight consistency** — a deterministic sample of cached
-  weights must equal a fresh
-  :func:`~repro.core.satisfaction.delta_static` recomputation *exactly*
-  (the cache uses the same scalar arithmetic, so any drift is
-  corruption, not rounding).
+  weights must equal, *exactly*, a recomputation from a fresh metric
+  ranking of each sampled edge's two endpoints, with the scalar
+  arithmetic of :func:`~repro.core.satisfaction.delta_static` (the
+  cache uses the same arithmetic, so any drift is corruption, not
+  rounding).
 
 A violation does not raise here: the service reads the
 :class:`GuardReport` and demotes itself to degraded full-re-solve mode
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.satisfaction import delta_static
+from repro.overlay.builder import peer_scorer, ranking_key
 
 __all__ = ["GuardReport", "ServiceGuard"]
 
@@ -104,9 +105,11 @@ class ServiceGuard:
     def check_weights(self, service, report: GuardReport) -> None:
         """Sampled exact recomputation of the incremental weight cache.
 
-        Uses the current compact instance, so it also catches a cache
-        whose entries survived a preference change they should not
-        have.  A no-op on the reference backend (no cache).
+        Each sampled edge is recomputed from a fresh metric ranking of
+        its two endpoints' neighbourhoods, independent of both the
+        ranked lists and the weight dict, so it also catches a cache
+        whose entries survived a preference change they should not have
+        and a stale list.  A no-op on the reference backend (no cache).
         """
         if self.weight_sample == 0 or service._wcache is None:
             return
@@ -117,26 +120,37 @@ class ServiceGuard:
             # weights incident to dirty peers are *expected* stale until
             # the next refresh; skip the pass rather than false-alarm
             return
-        ps, ids, index = service._compact_instance()
+        peers, adj = service._peers, service._adj
+        score = peer_scorer(service.metric)
+        fresh: dict[int, dict[int, int]] = {}
+
+        def delta(p: int, q: int) -> float:
+            # eq. 5 from p's freshly scored list, as delta_static computes it
+            if p not in fresh:
+                me = peers[p]
+                ranked = sorted(adj[p], key=lambda c: ranking_key(score(me, peers[c]), c))
+                fresh[p] = {c: r for r, c in enumerate(ranked)}
+            ell = len(fresh[p])
+            return (1.0 - fresh[p][q] / ell) / min(peers[p].quota, ell)
+
         keys = sorted(cached)
         start = self._weight_cursor % len(keys)
         take = min(self.weight_sample, len(keys))
         self._weight_cursor += take
         for off in range(take):
             pa, pb = keys[(start + off) % len(keys)]
-            if pa not in index or pb not in index:
+            if pa not in peers or pb not in peers:
                 report.violations.append(
                     f"weight cache: entry ({pa}, {pb}) names a departed peer"
                 )
                 continue
-            a, b = index[pa], index[pb]
-            if not ps.has_edge(a, b):
+            if pb not in adj[pa]:
                 report.violations.append(
                     f"weight cache: entry ({pa}, {pb}) is not an instance edge"
                 )
                 continue
             report.checked_weights += 1
-            expect = delta_static(ps, a, b) + delta_static(ps, b, a)
+            expect = delta(pa, pb) + delta(pb, pa)
             if cached[(pa, pb)] != expect:
                 report.violations.append(
                     f"weight drift: cached w({pa},{pb})={cached[(pa, pb)]!r}"

@@ -20,32 +20,29 @@ into something deployable:
   a :class:`~repro.service.guards.ServiceGuard` pass checks capacity,
   mutual consent and (sampled) eq.-9 weight consistency.  A violation
   demotes the service to *degraded* mode: the weight cache is dropped,
-  the matching fully re-solved, and every event is answered by a full
-  re-solve until ``degraded_recovery`` consecutive clean events restore
-  incremental mode.  A violation that survives the full re-solve is
+  the ranked lists re-scored and the matching fully re-solved, and
+  every event is answered by a full re-solve until
+  ``degraded_recovery`` consecutive clean events restore incremental
+  mode.  A violation that survives the full re-solve is
   unrecoverable and raises :class:`ServiceCorruption`;
 - **snapshots** — :meth:`snapshot` / :meth:`restore` round-trip the
   entire mutable state (peers, adjacency, partners, weight cache, dirty
   set, counters, ladder position) through plain JSON types, exactly;
+  the ranked lists are derived state, re-scored by :meth:`restore`.
   :mod:`repro.service.checkpoint` wraps them in versioned atomic files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.fast import FastInstance
 from repro.core.fast_lid import lid_matching_fast
 from repro.core.truncation import validate_max_rounds
-from repro.overlay.churn import (
-    DynamicOverlay,
-    RepairStats,
-    WeightCache,
-    greedy_repair,
-)
+from repro.overlay.churn import DynamicOverlay, RepairStats, greedy_repair
 from repro.overlay.peer import Peer
 from repro.service.events import ChurnEvent
 from repro.service.guards import GuardReport, ServiceGuard
@@ -105,8 +102,8 @@ class MatchingService(DynamicOverlay):
         repair truncates; ``"defer"`` serves the feasible truncated
         matching (almost-stable mode).
     weight_check_every:
-        Run the (compaction-priced) eq.-9 weight-consistency guard on
-        every k-th event; structural guards run on every event.
+        Run the sampled eq.-9 weight-consistency guard on every k-th
+        event; structural guards run on every event.
     degraded_recovery:
         Consecutive clean events required to climb back from degraded
         to incremental mode.
@@ -183,7 +180,7 @@ class MatchingService(DynamicOverlay):
         adds edges; because the no-weighted-blocking-edge fixpoint is
         unique, the result is exactly the cold solve's matching.
         """
-        ps, ids, _ = self._compact_instance()
+        ps, ids = self._solve_instance()
         fi = FastInstance.from_preference_system(ps)
         res = lid_matching_fast(fi, max_rounds=self.warmstart_rounds)
         matching = res.matching
@@ -195,42 +192,26 @@ class MatchingService(DynamicOverlay):
             self._weight_dirty.clear()
         self._store_matching(matching, ids)
 
-    def _repair(self, dirty_external: "set[int] | Iterable[int]") -> RepairStats:
-        if self.mode == "degraded":
-            # distrust incremental state wholesale until the ladder
-            # releases us
-            self.full_rematch()
+    def _full_resolve_due(self) -> bool:
+        # degraded mode distrusts incremental state wholesale until the
+        # ladder releases us
+        return self.mode == "degraded"
+
+    def _account(self, stats: RepairStats, full: bool) -> RepairStats:
+        if full:
             self.counters["full_resolves"] += 1
-            return RepairStats()
-        expanded = set(dirty_external)
-        for pid in dirty_external:
-            expanded.update(self._adj.get(pid, ()))
-        ps, ids, index = self._compact_instance()
-        wt, reused, recomputed = self._weights(ps, ids)
-        matching = self._matching_compact(index)
-        dirty = {index[pid] for pid in expanded if pid in index}
-        stats = greedy_repair(
-            wt,
-            list(ps.quotas),
-            matching,
-            dirty,
-            budget=self.repair_budget,
-        )
-        stats.weights_reused = reused
-        stats.weights_recomputed = recomputed
+            return stats
         self.counters["resolutions"] += stats.resolutions
         self.counters["stale_dropped"] += stats.stale_dropped
-        self.counters["weights_reused"] += reused
-        self.counters["weights_recomputed"] += recomputed
+        self.counters["weights_reused"] += stats.weights_reused
+        self.counters["weights_recomputed"] += stats.weights_recomputed
         if stats.truncated:
             self.counters["truncated_repairs"] += 1
             if self.on_budget == "resolve":
                 self.full_rematch()
                 self.counters["full_resolves"] += 1
-                return stats
-            self.truncated_since_sync += 1
-        matching.validate(ps)
-        self._store_matching(matching, ids)
+            else:
+                self.truncated_since_sync += 1
         return stats
 
     # -- churn beyond join/leave ---------------------------------------
@@ -244,10 +225,21 @@ class MatchingService(DynamicOverlay):
         list, which can shift the ranks of the neighbours' *other*
         candidates too — so every edge incident to ``{peer_id} ∪
         N(peer_id)`` is weight-dirty, not just the moved peer's own.
+        A non-finite position, or one shaped unlike the peer's current
+        one, raises :class:`ValueError` before any state changes.
         """
         if peer_id not in self._peers:
             raise KeyError(f"unknown peer {peer_id}")
-        self._peers[peer_id].position = np.asarray(position, dtype=float)
+        peer = self._peers[peer_id]
+        new = np.asarray(position, dtype=float)
+        if new.shape != peer.position.shape or not np.all(np.isfinite(new)):
+            raise ValueError(
+                f"position {position!r} must be finite and shaped like"
+                f" peer {peer_id}'s {peer.position.shape}"
+            )
+        peer.position = new
+        if self._lists is not None:
+            self._lists.rescore(peer_id)
         dirty = {peer_id} | self._adj[peer_id]
         self._weight_dirty |= dirty
         if not repair:
@@ -341,8 +333,8 @@ class MatchingService(DynamicOverlay):
         self._cooldown = self.degraded_recovery
         if self._wcache is not None:
             # the cache is a suspect in any corruption: rebuild it from
-            # scratch along with the matching
-            self._wcache._w.clear()
+            # scratch along with the matching (which re-scores the lists)
+            self._wcache.clear()
             self._weight_dirty.clear()
         self.full_rematch()
         self.counters["full_resolves"] += 1
@@ -454,9 +446,10 @@ class MatchingService(DynamicOverlay):
         }
         svc._weight_dirty = {int(pid) for pid in state["weight_dirty"]}
         svc._next_id = int(state["next_id"])
-        svc._wcache = None
-        if state["weights"] is not None:
-            svc._wcache = WeightCache()
+        svc._init_live_state()
+        if svc._wcache is not None:
+            # the ranked lists are derived state: re-score them
+            svc._lists.rank_all(svc._adj)
             svc._wcache._w = {
                 (int(a), int(b)): float(w) for a, b, w in state["weights"]
             }

@@ -17,6 +17,14 @@ def _dyn(n=24, seed=3, metric=None, backend="reference"):
     return DynamicOverlay(sc.topology, sc.peers, metric or sc.metric, backend=backend)
 
 
+def _cached_table(cache: WeightCache, ids: list[int]) -> WeightTable:
+    """A weight store re-indexed to the compact instance over ``ids``."""
+    index = {pid: k for k, pid in enumerate(ids)}
+    return WeightTable(
+        {(index[a], index[b]): w for (a, b), w in cache._w.items()}, len(ids)
+    )
+
+
 def _assert_is_greedy_fixpoint(dyn: DynamicOverlay):
     ps, matching = dyn.instance()
     wt = satisfaction_weights(ps)
@@ -95,8 +103,15 @@ class TestDynamicOverlay:
 
     def test_join_unknown_neighbour(self):
         dyn = _dyn(n=10)
+        expected = dyn._next_id
+        peer = Peer(peer_id=77, quota=2)
         with pytest.raises(KeyError, match="unknown neighbours"):
-            dyn.join(Peer(peer_id=-1, quota=2), [999])
+            dyn.join(peer, [999])
+        # a rejected join has no side effects: the peer keeps its id and
+        # the id it would have taken goes to the next successful joiner
+        assert peer.peer_id == 77
+        pid, _ = dyn.join(Peer(peer_id=-1, quota=2), [dyn.active_ids()[0]])
+        assert pid == expected
 
     def test_partner_symmetry(self):
         dyn = _dyn()
@@ -195,7 +210,7 @@ class TestFastBackend:
         for _ in range(4):
             dyn.leave(int(rng.choice(dyn.active_ids())))
         ps, _ = dyn.instance()
-        cached_wt, _, _ = dyn._weights(*dyn._compact_instance()[:2])
+        cached_wt = _cached_table(dyn._wcache, dyn.active_ids())
         fresh = satisfaction_weights(ps)
         for i, j in ps.edges():
             assert cached_wt.weight(i, j) == fresh.weight(i, j)  # bit-identical
@@ -211,44 +226,48 @@ class TestFastBackend:
         dyn.join(Peer(peer_id=-1, position=rng.uniform(0, 1, 2), quota=2), neigh)
         _assert_is_greedy_fixpoint(dyn)
         ps, _ = dyn.instance()
-        cached_wt, _, _ = dyn._weights(*dyn._compact_instance()[:2])
+        cached_wt = _cached_table(dyn._wcache, dyn.active_ids())
         fresh = satisfaction_weights(ps)
         for i, j in ps.edges():
             assert cached_wt.weight(i, j) == fresh.weight(i, j)
 
 
 class TestWeightCache:
-    def test_cold_refresh_fills_cache(self):
-        dyn = _dyn(n=15, seed=2)  # reference overlay: just a ps supplier
+    @staticmethod
+    def _lists():
+        dyn = _dyn(n=15, seed=2, backend="fast")  # a ranked-list supplier
         ps, ids, _ = dyn._compact_instance()
-        cache = WeightCache()
-        wt, reused, recomputed = cache.refresh(ps, ids, set())
+        return dyn._lists, ps, ids
+
+    def test_cold_refresh_fills_cache(self):
+        lists, ps, ids = self._lists()
+        cache = WeightCache(lists)
+        reused, recomputed = cache.refresh(set())
         assert reused == 0 and recomputed == len(cache) == ps.m
+        wt = _cached_table(cache, ids)
         fresh = satisfaction_weights(ps)
         for i, j in ps.edges():
             assert wt.weight(i, j) == fresh.weight(i, j)
 
     def test_warm_refresh_reuses_clean_entries(self):
-        dyn = _dyn(n=15, seed=2)
-        ps, ids, _ = dyn._compact_instance()
-        cache = WeightCache()
-        cache.refresh(ps, ids, set())
-        wt, reused, recomputed = cache.refresh(ps, ids, set())
+        lists, ps, ids = self._lists()
+        cache = WeightCache(lists)
+        cache.refresh(set())
+        reused, recomputed = cache.refresh(set())
         assert recomputed == 0 and reused == ps.m
-        assert wt.m == ps.m
+        assert len(cache) == ps.m
 
     def test_dirty_nodes_force_recompute(self):
-        dyn = _dyn(n=15, seed=2)
-        ps, ids, _ = dyn._compact_instance()
-        cache = WeightCache()
-        cache.refresh(ps, ids, set())
+        lists, ps, ids = self._lists()
+        cache = WeightCache(lists)
+        cache.refresh(set())
         dirty_peer = ids[0]
-        _, reused, recomputed = cache.refresh(ps, ids, {dirty_peer})
+        reused, recomputed = cache.refresh({dirty_peer})
         touched = sum(1 for i, j in ps.edges() if 0 in (i, j))
         assert recomputed == touched and reused == ps.m - touched
 
     def test_clear(self):
-        cache = WeightCache()
+        cache = WeightCache(self._lists()[0])
         assert len(cache) == 0
         cache.clear()
         assert len(cache) == 0

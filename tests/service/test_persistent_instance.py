@@ -1,0 +1,127 @@
+"""The fast backend's persistent instance against from-scratch authorities.
+
+A fast-backend :class:`MatchingService` keeps its ranked lists and
+eq.-9 weights alive between events instead of rebuilding them.  These
+tests pin what that must not change and what it must make cheap:
+
+- **differential** — after every event, each ranked list equals the
+  list :func:`build_preference_system` sorts from scratch, the weight
+  store equals :func:`satisfaction_weights` bit for bit, and the
+  partners equal those of a ``backend="reference"`` service replaying
+  the same trace;
+- **locality** — an event scores only the pairs it touches: no metric
+  call for a leave or crash, ``2k`` for a join with ``k`` neighbours,
+  ``2·deg`` for a position update, at any overlay size.
+"""
+
+import pytest
+
+from repro.core.weights import satisfaction_weights
+from repro.experiments.instances import topology_for_family
+from repro.overlay.metrics import DistanceMetric, MetricAssignment, PrivateTasteMetric
+from repro.overlay.peer import generate_peers
+from repro.service.runner import ServiceConfig, build_service
+from repro.service.service import MatchingService
+from repro.utils.rng import spawn_rng
+
+
+def _assert_matches_scratch(svc: MatchingService, ref: MatchingService) -> None:
+    ps, ids, _ = svc._compact_instance()
+    for k, pid in enumerate(ids):
+        assert svc._lists.ranked(pid) == [ids[j] for j in ps.preference_list(k)]
+    fresh = {
+        (ids[i], ids[j]): w.hex() for (i, j), w in satisfaction_weights(ps).items()
+    }
+    assert {e: w.hex() for e, w in svc._wcache._w.items()} == fresh
+    assert svc._partners == ref._partners
+
+
+def _replay_against_reference(svc, ref, trace) -> None:
+    _assert_matches_scratch(svc, ref)
+    for event in trace.events:
+        out, ref_out = svc.apply(event), ref.apply(event)
+        assert out.guard_ok and ref_out.guard_ok
+        assert out.peer_id == ref_out.peer_id
+        _assert_matches_scratch(svc, ref)
+    assert svc.counters["resolutions"] == ref.counters["resolutions"]
+    assert svc.counters["truncated_repairs"] == ref.counters["truncated_repairs"]
+
+
+class TestDifferential:
+    @pytest.mark.parametrize(
+        "over",
+        [
+            dict(workload="poisson"),
+            dict(workload="flash"),
+            dict(workload="diurnal"),
+            dict(workload="storm"),
+            dict(workload="poisson", repair_budget=1, on_budget="resolve"),
+            dict(workload="storm", repair_budget=1, on_budget="defer"),
+            dict(workload="flash", warmstart_rounds=2, repair_budget=0),
+        ],
+        ids=lambda over: "-".join(f"{k}={v}" for k, v in over.items()),
+    )
+    def test_every_event_matches_from_scratch(self, over):
+        config = ServiceConfig(n=30, seed=4, events=30, weight_check_every=1, **over)
+        ref_config = ServiceConfig(
+            n=30, seed=4, events=30, weight_check_every=1, backend="reference", **over
+        )
+        _replay_against_reference(
+            build_service(config), build_service(ref_config), config.trace()
+        )
+
+    def test_metric_assignment(self):
+        config = ServiceConfig(n=30, seed=6, events=30, workload="poisson")
+
+        def service(backend: str) -> MatchingService:
+            rng = spawn_rng(config.seed, "service-init", config.family, str(config.n))
+            topology = topology_for_family(config.family, config.n, rng)
+            peers = generate_peers(config.n, rng, quota_range=(2, 4))
+            # every third peer ranks by distance alone, the rest by taste
+            metric = MetricAssignment(
+                PrivateTasteMetric(config.seed, base=DistanceMetric(), blend=0.5),
+                {p.peer_id: DistanceMetric() for p in peers[::3]},
+            )
+            return MatchingService(topology, peers, metric, backend=backend)
+
+        _replay_against_reference(service("fast"), service("reference"), config.trace())
+
+
+class _CountingMetric:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __call__(self, a, b):
+        self.calls += 1
+        return self.inner(a, b)
+
+
+class TestLocality:
+    @pytest.mark.parametrize("n", (200, 800))
+    def test_metric_calls_track_the_touched_region(self, n):
+        config = ServiceConfig(n=n, seed=2, events=30, workload="poisson",
+                               weight_check_every=10**9)
+        rng = spawn_rng(config.seed, "service-init", config.family, str(n))
+        topology = topology_for_family(config.family, n, rng)
+        peers = generate_peers(n, rng, quota_range=(3, 3))
+        metric = _CountingMetric(config.metric())
+        svc = MatchingService(topology, peers, metric,
+                              weight_check_every=config.weight_check_every)
+        seen = set()
+        for event in config.trace().events:
+            alive = svc.active_ids()
+            victim = alive[event.r % len(alive)]
+            deg = len(svc._adj[victim])
+            before = metric.calls
+            out = svc.apply(event)
+            calls = metric.calls - before
+            assert svc.counters["full_resolves"] == 0
+            if event.kind == "join":
+                assert calls == 2 * len(svc._adj[out.peer_id])
+            elif event.kind == "update":
+                assert calls == 2 * deg
+            else:
+                assert calls == 0
+            seen.add(event.kind)
+        assert seen == {"join", "leave", "crash", "update"}
