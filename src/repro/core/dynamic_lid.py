@@ -56,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.core.lid import mutual_locks
 from repro.core.matching import Matching
 from repro.distsim.network import LatencyModel, Network
 from repro.distsim.node import ProtocolNode
@@ -394,20 +395,16 @@ class DynamicLidHarness:
 
     def matching(self) -> Matching:
         """Mutual-lock matching over the full id space (validated symmetric)."""
-        m = Matching(len(self.nodes))
-        for i in self.alive:
-            for j in self.nodes[i].locked:
-                if j not in self.alive or i not in self.nodes[j].locked:
-                    raise ProtocolError(f"asymmetric lock {i} ~ {j} at quiescence")
-                if i < j:
-                    m.add(i, j)
+        m, one_sided = mutual_locks(self.nodes)
+        if one_sided:
+            i, j = one_sided[0]
+            raise ProtocolError(f"asymmetric lock {i} ~ {j} at quiescence")
         return m
 
     def half_locks(self) -> list[tuple[int, int]]:
-        """Asymmetric locks (must be empty at quiescence)."""
-        out = []
-        for i in self.alive:
-            for j in self.nodes[i].locked:
-                if j not in self.alive or i not in self.nodes[j].locked:
-                    out.append((i, j))
-        return out
+        """Asymmetric locks (must be empty at quiescence).
+
+        A departed node holds no locks (:meth:`DynamicLidNode.start_leave`
+        clears them), so a live node's lock on it is one-sided too.
+        """
+        return mutual_locks(self.nodes)[1]

@@ -40,37 +40,187 @@ Implementation notes
 - For the lossy-channel extension (A2, paper §7 future work) the node
   supports *polite* termination plus timer-based ``PROP``
   retransmission; see :class:`LidNode` parameters.
+- The rules themselves live in :class:`LidProtocol`, which
+  :class:`LidNode` and :class:`~repro.core.resilient_lid.ResilientLidNode`
+  share; the two nodes differ only in their send primitive, two hooks
+  and their fault handling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceSystem
 from repro.core.truncation import (
     TruncationReport,
     finalize_truncation,
+    round_horizon,
     validate_max_rounds,
 )
 from repro.core.weights import WeightTable, satisfaction_weights
 from repro.distsim.metrics import SimMetrics
 from repro.distsim.network import LatencyModel, Network
 from repro.distsim.node import ProtocolNode
+from repro.distsim.reliable import BackoffPolicy
 from repro.distsim.scheduler import Simulator
 from repro.distsim.tracing import Trace
 from repro.telemetry.spans import Telemetry
 from repro.utils.validation import ProtocolError, check_quotas
 
-__all__ = ["LidNode", "LidResult", "run_lid", "solve_lid"]
+__all__ = ["LidNode", "LidProtocol", "LidResult", "mutual_locks", "run_lid", "solve_lid"]
 
 PROP = "PROP"
 REJ = "REJ"
 
 
-class LidNode(ProtocolNode):
-    """State machine of one LID participant.
+class LidProtocol:
+    """Algorithm 1's rules, shared by every message-level LID node.
+
+    Owns the ``U_i`` / ``P_i`` / ``A_i`` / ``K_i`` sets, the weight-list
+    cursor and the protocol statistics.  A concrete node mixes it in
+    front of its transport and supplies the send primitive
+    :attr:`_transmit`, the :meth:`_on_propose` / :meth:`_on_lock` hooks
+    (run after the ``PROP`` send and after the lock, because event
+    insertion order fixes the schedule), :attr:`polite`, and its own
+    fault handling around :meth:`_handle_prop` / :meth:`_handle_rej`.
+    """
+
+    _transmit: Callable[..., None]
+    polite = False
+
+    def __init__(self, weight_list: Sequence[int], quota: int, **transport):
+        super().__init__(**transport)
+        self.weight_list: list[int] = list(weight_list)
+        self.quota = int(quota)
+        # protocol sets (paper names)
+        self.unresolved: set[int] = set()   # U_i
+        self.proposed: set[int] = set()     # P_i
+        self.approachers: set[int] = set()  # A_i
+        self.locked: set[int] = set()       # K_i
+        self._pos = 0  # weight-list scan position (next unproposed candidate)
+        self.finished = False
+        # statistics
+        self.props_sent = 0
+        self.rejs_sent = 0
+        self.anomalies = 0
+
+    def on_start(self) -> None:
+        self.unresolved = set(self.weight_list)
+        self._process()
+
+    # -- hooks -----------------------------------------------------------
+
+    def _on_propose(self, j: int) -> None:
+        """A fresh ``PROP`` to ``j`` has just been sent."""
+
+    def _on_lock(self, j: int) -> None:
+        """The edge to ``j`` has just locked."""
+
+    # -- shared message handling ---------------------------------------
+
+    def _handle_prop(self, src: int) -> None:
+        """A proposal from an unlocked peer: refused once finished, else recorded."""
+        if self.finished:
+            # polite mode: we already rejected everyone; answer the
+            # late proposal again
+            self._reject(src)
+            return
+        self.approachers.add(src)
+        self._process()
+
+    def _handle_rej(self, src: int) -> None:
+        """A rejection from an unlocked peer resolves it."""
+        if src not in self.unresolved:
+            self.anomalies += 1  # duplicate REJ
+            return
+        self._resolve(src)
+        self._process()
+
+    def _resolve(self, j: int) -> None:
+        """Drop ``j`` from ``U_i``, ``P_i`` and ``A_i``."""
+        self.unresolved.discard(j)
+        self.proposed.discard(j)
+        self.approachers.discard(j)
+
+    def _reject(self, j: int) -> None:
+        self._transmit(j, REJ)
+        self.rejs_sent += 1
+
+    # -- Algorithm 1 -----------------------------------------------------
+
+    def _outstanding(self) -> set[int]:
+        """``P_i \\ K_i`` — proposals awaiting an answer."""
+        return self.proposed - self.locked
+
+    def _propose(self, j: int) -> None:
+        self.proposed.add(j)
+        self._transmit(j, PROP)
+        self.props_sent += 1
+        self._on_propose(j)
+
+    def _top_up(self) -> bool:
+        """Propose to best unproposed unresolved neighbours up to quota."""
+        sent = False
+        while len(self.proposed) < self.quota:
+            j = self._next_candidate()
+            if j is None:
+                break
+            self._propose(j)
+            sent = True
+        return sent
+
+    def _next_candidate(self) -> Optional[int]:
+        while self._pos < len(self.weight_list):
+            j = self.weight_list[self._pos]
+            if j in self.unresolved and j not in self.proposed:
+                self._pos += 1
+                return j
+            self._pos += 1
+        return None
+
+    def _try_lock(self) -> bool:
+        """Lock every mutually proposed edge (lines 12–14)."""
+        ready = self._outstanding() & self.approachers
+        for v in ready:
+            self.locked.add(v)
+            self.approachers.discard(v)
+            self.unresolved.discard(v)
+            self._on_lock(v)
+        return bool(ready)
+
+    def _process(self) -> None:
+        if self.finished:
+            return
+        changed = True
+        while changed:
+            changed = self._try_lock()
+            changed = self._top_up() or changed
+        if not self._outstanding():
+            self._finish()
+
+    def _finish(self) -> None:
+        """Lines 15–16: reject all unresolved neighbours and stop.
+
+        The broadcast walks the weight list (not the ``unresolved`` set)
+        so the send order is a deterministic function of the instance
+        rather than of hash-table internals; schedules — and therefore
+        message statistics — stay reproducible across interpreters, and
+        the round-batched engine can replay them exactly.
+        """
+        self.finished = True
+        for v in self.weight_list:
+            if v in self.unresolved:
+                self._reject(v)
+        self.unresolved.clear()
+        self.approachers.clear()
+        if not self.polite:
+            self.terminate()
+
+
+class LidNode(LidProtocol, ProtocolNode):
+    """State machine of one LID participant on raw channels.
 
     Parameters
     ----------
@@ -108,6 +258,8 @@ class LidNode(ProtocolNode):
     contaminates the paper's message-complexity statistics.
     """
 
+    _transmit = ProtocolNode.send
+
     def __init__(
         self,
         weight_list: Sequence[int],
@@ -118,43 +270,30 @@ class LidNode(ProtocolNode):
         backoff_cap: Optional[float] = None,
         retransmit_rng=None,
     ):
-        super().__init__()
-        self.weight_list: list[int] = list(weight_list)
-        self.quota = int(quota)
+        super().__init__(weight_list, quota)
         self.polite = polite
         self.retransmit_timeout = retransmit_timeout
         if backoff not in ("none", "exponential"):
             raise ValueError(
                 f"backoff must be 'none' or 'exponential', got {backoff!r}"
             )
-        self.backoff = backoff
         if backoff_cap is not None and retransmit_timeout is not None:
             if backoff_cap < retransmit_timeout:
                 raise ValueError(
                     f"backoff_cap ({backoff_cap}) below retransmit_timeout "
                     f"({retransmit_timeout})"
                 )
-        self.backoff_cap = backoff_cap
+        self._retry: Optional[BackoffPolicy] = None
+        if retransmit_timeout is not None and backoff == "none":
+            self._retry = BackoffPolicy.fixed(retransmit_timeout)
+        elif retransmit_timeout is not None:
+            cap = 8.0 * retransmit_timeout if backoff_cap is None else backoff_cap
+            self._retry = BackoffPolicy(
+                base=retransmit_timeout, factor=2.0, cap=cap, jitter=0.1, budget=None
+            )
         self._retx_rng = retransmit_rng
         self._attempts: dict[int, int] = {}  # per-peer unanswered retries
-        # protocol sets (paper names)
-        self.unresolved: set[int] = set()   # U_i
-        self.proposed: set[int] = set()     # P_i
-        self.approachers: set[int] = set()  # A_i
-        self.locked: set[int] = set()       # K_i
-        self._pos = 0  # weight-list scan position (next unproposed candidate)
-        self.finished = False
-        # statistics
-        self.props_sent = 0
-        self.rejs_sent = 0
         self.retransmits_sent = 0
-        self.anomalies = 0
-
-    # -- protocol ------------------------------------------------------
-
-    def on_start(self) -> None:
-        self.unresolved = set(self.weight_list)
-        self._process()
 
     def on_message(self, src: int, kind: str, payload) -> None:
         if kind == PROP:
@@ -173,26 +312,13 @@ class LidNode(ProtocolNode):
                 else:
                     self.anomalies += 1
                 return
-            if self.finished:
-                # polite mode: we already rejected everyone; answer the
-                # (necessarily retransmitted) proposal again
-                self.send(src, REJ)
-                self.rejs_sent += 1
-                return
-            self.approachers.add(src)
-            self._process()
+            self._handle_prop(src)
         elif kind == REJ:
             if src in self.locked:
                 # a locked partner never rejects (only Byzantine peers do)
                 self.anomalies += 1
                 return
-            if src not in self.unresolved:
-                self.anomalies += 1  # duplicate REJ
-                return
-            self.unresolved.discard(src)
-            self.proposed.discard(src)
-            self.approachers.discard(src)
-            self._process()
+            self._handle_rej(src)
         else:  # pragma: no cover - defensive
             raise ProtocolError(f"LID node got unknown message kind {kind!r}")
 
@@ -204,11 +330,12 @@ class LidNode(ProtocolNode):
         if j in self.proposed and j not in self.locked:
             self.send(j, PROP, payload="retry")
             self._count_retransmit()
-            assert self.retransmit_timeout is not None
             self._attempts[j] = self._attempts.get(j, 0) + 1
             self.set_timer(self._retx_delay(j), j)
 
-    # -- internals -------------------------------------------------------
+    def _on_propose(self, j: int) -> None:
+        if self._retry is not None:
+            self.set_timer(self._retx_delay(j), j)
 
     def _count_retransmit(self) -> None:
         self.retransmits_sent += 1
@@ -217,84 +344,8 @@ class LidNode(ProtocolNode):
 
     def _retx_delay(self, j: int) -> float:
         """Delay until the next retry of the proposal to ``j``."""
-        base = self.retransmit_timeout
-        assert base is not None
-        if self.backoff == "none":
-            return base
-        cap = self.backoff_cap if self.backoff_cap is not None else 8.0 * base
-        d = min(base * 2.0 ** self._attempts.get(j, 0), cap)
-        if self._retx_rng is not None:
-            d *= 1.0 + 0.1 * float(self._retx_rng.random())
-        return d
-
-    def _outstanding(self) -> set[int]:
-        """``P_i \\ K_i`` — proposals awaiting an answer."""
-        return self.proposed - self.locked
-
-    def _propose(self, j: int) -> None:
-        self.proposed.add(j)
-        self.send(j, PROP)
-        self.props_sent += 1
-        if self.retransmit_timeout is not None:
-            self.set_timer(self._retx_delay(j), j)
-
-    def _top_up(self) -> bool:
-        """Propose to best unproposed unresolved neighbours up to quota."""
-        sent = False
-        while len(self.proposed) < self.quota:
-            j = self._next_candidate()
-            if j is None:
-                break
-            self._propose(j)
-            sent = True
-        return sent
-
-    def _next_candidate(self) -> Optional[int]:
-        while self._pos < len(self.weight_list):
-            j = self.weight_list[self._pos]
-            if j in self.unresolved and j not in self.proposed:
-                self._pos += 1
-                return j
-            self._pos += 1
-        return None
-
-    def _try_lock(self) -> bool:
-        """Lock every mutually proposed edge (lines 12–14)."""
-        ready = self._outstanding() & self.approachers
-        for v in ready:
-            self.locked.add(v)
-            self.approachers.discard(v)
-            self.unresolved.discard(v)
-        return bool(ready)
-
-    def _process(self) -> None:
-        if self.finished:
-            return
-        changed = True
-        while changed:
-            changed = self._try_lock()
-            changed = self._top_up() or changed
-        if not self._outstanding():
-            self._finish()
-
-    def _finish(self) -> None:
-        """Lines 15–16: reject all unresolved neighbours and stop.
-
-        The broadcast walks the weight list (not the ``unresolved`` set)
-        so the send order is a deterministic function of the instance
-        rather than of hash-table internals; schedules — and therefore
-        message statistics — stay reproducible across interpreters, and
-        the round-batched engine can replay them exactly.
-        """
-        self.finished = True
-        for v in self.weight_list:
-            if v in self.unresolved:
-                self.send(v, REJ)
-                self.rejs_sent += 1
-        self.unresolved.clear()
-        self.approachers.clear()
-        if not self.polite:
-            self.terminate()
+        assert self._retry is not None
+        return self._retry.delay(self._attempts.get(j, 0), self._retx_rng)
 
 
 @dataclass
@@ -345,39 +396,35 @@ class LidResult:
         return self.metrics.max_depth
 
 
-def _extract_matching(nodes: Sequence[LidNode]) -> Matching:
-    n = len(nodes)
-    matching = Matching(n)
-    for i, node in enumerate(nodes):
-        for j in node.locked:
-            if not (0 <= j < n) or i not in nodes[j].locked:
-                raise ProtocolError(
-                    f"asymmetric lock: {i} locked {j} but not vice versa"
-                )
-            if i < j:
-                matching.add(i, j)
-    return matching
+def mutual_locks(
+    nodes: Sequence, members: Optional[Collection[int]] = None
+) -> tuple[Matching, list[tuple[int, int]]]:
+    """Edges locked at both endpoints, and the locks held on one side only.
 
-
-def _extract_mutual_matching(nodes) -> tuple[Matching, int]:
-    """Mutual locks of a truncated run; counts released one-sided locks.
-
-    A directed lock whose reverse never locked means the partner's
-    confirming ``PROP`` was still in flight at the round cap — the lock
-    is released (the paper's unresolved state resolves to "no edge"),
-    matching the array engines' ``lk & lk[rev]`` extraction.
+    Walks ``nodes`` in id order, restricted to ``members`` when given; a
+    lock on a partner outside ``members`` is ignored.  One-sided locks —
+    on an out-of-range id, or not returned by the partner — come back in
+    node order, so a caller that treats asymmetry as an error can name
+    the first.  A truncated run releases them: the partner's confirming
+    ``PROP`` was still in flight at the round cap (the array engines'
+    ``lk & lk[rev]``).
     """
     n = len(nodes)
     matching = Matching(n)
-    released = 0
+    one_sided: list[tuple[int, int]] = []
     for i, node in enumerate(nodes):
+        if members is not None and i not in members:
+            continue
         for j in node.locked:
-            if 0 <= j < n and i in nodes[j].locked:
+            in_range = 0 <= j < n
+            if in_range and members is not None and j not in members:
+                continue
+            if in_range and i in nodes[j].locked:
                 if i < j:
                     matching.add(i, j)
             else:
-                released += 1
-    return matching, released
+                one_sided.append((i, j))
+    return matching, one_sided
 
 
 def run_lid(
@@ -409,13 +456,10 @@ def run_lid(
     (``backoff="none"`` restores the legacy fixed timer); see
     :class:`LidNode`.
 
-    ``max_rounds=k`` truncates the run after ``k`` delivery waves
-    (``Simulator.run(max_time=k + 0.5)`` — under the default
-    unit-latency channels wave ``r``'s deliveries land at virtual time
-    ``r``, shifted by at most a few ULPs of FIFO tie-break skew, so the
-    horizon sits at the midpoint of the inter-wave gap): no new
-    proposal wave is scheduled past the cap, the in-flight wave is
-    dropped, and one-sided locks are released at extraction, keeping
+    ``max_rounds=k`` truncates the run after ``k`` delivery waves (the
+    simulator stops at :func:`~repro.core.truncation.round_horizon`):
+    no new proposal wave is scheduled past the cap, the in-flight wave
+    is dropped, and one-sided locks are released at extraction, keeping
     only the mutual ones (see :mod:`repro.core.truncation`).  ``None``
     runs to convergence, byte-identical to before the knob existed.
 
@@ -469,20 +513,22 @@ def run_lid(
     with tel.span("sim_loop"):
         metrics = sim.run(
             max_events=max_events,
-            max_time=max_rounds + 0.5 if max_rounds is not None else None,
+            max_time=round_horizon(max_rounds),
             probe=probe,
         )
     with tel.span("extract"):
-        released = 0
         if max_rounds is None:
             for i, node in enumerate(nodes):
                 if not node.finished:
                     raise ProtocolError(
                         f"node {i} did not finish (Lemma 5 violated?)"
                     )
-            matching = _extract_matching(nodes)
-        else:
-            matching, released = _extract_mutual_matching(nodes)
+        matching, one_sided = mutual_locks(nodes)
+        if max_rounds is None and one_sided:
+            i, j = one_sided[0]
+            raise ProtocolError(
+                f"asymmetric lock: {i} locked {j} but not vice versa"
+            )
     metrics.phase_seconds = tel.phase_seconds(since=mark)
     return LidResult(
         matching=matching,
@@ -493,7 +539,7 @@ def run_lid(
             max_rounds=max_rounds,
             rounds=int(metrics.end_time),
             converged=(sim.pending_events() == 0),
-            released_locks=released,
+            released_locks=len(one_sided),
         ),
     )
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.lid import LidNode
+from repro.core.lid import LidNode, mutual_locks
 from repro.core.matching import Matching
 from repro.core.weights import WeightTable
 from repro.distsim.metrics import SimMetrics
@@ -100,13 +100,10 @@ def run_mixed_adoption(
     sim.run()
 
     deadlocked = [i for i, nd in enumerate(nodes) if not nd.finished]
-    matching = Matching(n)
-    for i, nd in enumerate(nodes):
-        for j in nd.locked:
-            if i not in nodes[j].locked:
-                raise ProtocolError(f"asymmetric lock {i} ~ {j} at quiescence")
-            if i < j:
-                matching.add(i, j)
+    matching, one_sided = mutual_locks(nodes)
+    if one_sided:
+        i, j = one_sided[0]
+        raise ProtocolError(f"asymmetric lock {i} ~ {j} at quiescence")
     return MixedRunResult(
         matching=matching,
         metrics=sim.metrics,

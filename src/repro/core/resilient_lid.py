@@ -48,9 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.core.lid import PROP, REJ
+from repro.core.lid import PROP, REJ, LidProtocol, mutual_locks
 from repro.core.matching import Matching
-from repro.core.truncation import TruncationReport, validate_max_rounds
+from repro.core.truncation import TruncationReport, round_horizon, validate_max_rounds
 from repro.distsim.failures import (
     CrashSchedule,
     LinkFlap,
@@ -76,16 +76,18 @@ __all__ = [
 ]
 
 
-class ResilientLidNode(ReliableNode):
+class ResilientLidNode(LidProtocol, ReliableNode):
     """One LID participant on reliable channels with failure detection.
 
-    Protocol state mirrors :class:`~repro.core.lid.LidNode` (the paper's
-    ``U_i`` / ``P_i`` / ``A_i`` / ``K_i`` sets plus the weight-list scan
-    position); the differences are confined to fault handling:
+    The protocol rules are :class:`~repro.core.lid.LidProtocol`'s, shared
+    with :class:`~repro.core.lid.LidNode`; the differences are confined
+    to the transport and fault handling:
 
     - proposals and rejections travel via :meth:`rsend` (reliable), so
       there is no ``payload == "retry"`` duplicate-PROP special case —
       the transport suppresses duplicates before the protocol sees them;
+    - every outstanding proposal is watched by the failure detector
+      until it is answered;
     - :attr:`withdrawn` records peers released by suspicion or
       revocation; they are skipped by the candidate scan and refused
       (``REJ``) if they come back after a heal;
@@ -93,6 +95,11 @@ class ResilientLidNode(ReliableNode):
       keep ACKing retransmissions and answering stray proposals — the
       run ends by queue quiescence, as in the lossy A2 configuration.
     """
+
+    _transmit = ReliableNode.rsend
+    _on_propose = ReliableNode.watch
+    _on_lock = ReliableNode.unwatch
+    polite = True
 
     def __init__(
         self,
@@ -104,25 +111,15 @@ class ResilientLidNode(ReliableNode):
         rng=None,
     ):
         super().__init__(
+            weight_list,
+            quota,
             backoff=backoff,
             heartbeat_interval=heartbeat_interval,
             suspect_after=suspect_after,
             rng=rng,
         )
-        self.weight_list: list[int] = list(weight_list)
-        self.quota = int(quota)
-        # protocol sets (paper names)
-        self.unresolved: set[int] = set()   # U_i
-        self.proposed: set[int] = set()     # P_i
-        self.approachers: set[int] = set()  # A_i
-        self.locked: set[int] = set()       # K_i
         self.withdrawn: set[int] = set()    # peers released by fault handling
-        self._pos = 0
-        self.finished = False
         # statistics
-        self.props_sent = 0
-        self.rejs_sent = 0
-        self.anomalies = 0
         self.released_locks = 0
         self.post_finish_releases = 0
         self.unreachable_peers = 0
@@ -130,29 +127,22 @@ class ResilientLidNode(ReliableNode):
     # -- protocol --------------------------------------------------------
 
     def on_start(self) -> None:
-        self.unresolved = set(self.weight_list)
         self.start_monitoring()
-        self._process()
+        super().on_start()
 
     def on_datagram(self, src: int, kind: str, payload) -> None:
         if kind == PROP:
             if src in self.withdrawn:
                 # a suspected peer resurfaced after a heal: we already
                 # re-proposed elsewhere, so refuse firmly (and finally)
-                self.rsend(src, REJ)
-                self.rejs_sent += 1
+                self._reject(src)
                 return
             if src in self.locked:
                 # transport dedup means this is not a retransmission —
                 # only a Byzantine peer re-proposes a locked edge
                 self.anomalies += 1
                 return
-            if self.finished:
-                self.rsend(src, REJ)
-                self.rejs_sent += 1
-                return
-            self.approachers.add(src)
-            self._process()
+            self._handle_prop(src)
         elif kind == REJ:
             if src in self.locked:
                 # revocation: the partner suspected us during a fault
@@ -161,32 +151,24 @@ class ResilientLidNode(ReliableNode):
                 return
             if src in self.withdrawn:
                 return  # their revoke crossing ours — already resolved
-            if src not in self.unresolved:
-                self.anomalies += 1  # duplicate/Byzantine REJ
-                return
-            self.unresolved.discard(src)
-            self.proposed.discard(src)
-            self.approachers.discard(src)
+            # answered; only outstanding proposals are watched, so this
+            # is a no-op for a duplicate REJ
             self.unwatch(src)
-            self._process()
+            self._handle_rej(src)
         else:
             self.anomalies += 1
 
     def on_peer_suspected(self, peer: int) -> None:
         """A pending peer went silent: release, revoke, re-propose."""
         self.abandon(peer)  # stop retrying the data it never ACKed
-        self.withdrawn.add(peer)
         if peer in self.locked:  # defensive: watched peers are never locked
             self.locked.discard(peer)
             self.released_locks += 1
-        self.proposed.discard(peer)
-        self.unresolved.discard(peer)
-        self.approachers.discard(peer)
+        self._withdraw(peer)
         # Revoke: if the peer is alive behind a partition and locked the
         # crossing proposal, it must release too.  Reliable, so the
         # notice survives a heal within the backoff budget's window.
-        self.rsend(peer, REJ)
-        self.rejs_sent += 1
+        self._reject(peer)
         if not self.finished:
             self._process()
 
@@ -203,10 +185,7 @@ class ResilientLidNode(ReliableNode):
             # suspicion (no revocation — it would fail the same way)
             self.unwatch(dst)
             self.suspected.add(dst)
-            self.withdrawn.add(dst)
-            self.proposed.discard(dst)
-            self.unresolved.discard(dst)
-            self.approachers.discard(dst)
+            self._withdraw(dst)
             self._process()
 
     def on_raw_message(self, src: int, kind: str, payload) -> None:
@@ -223,13 +202,15 @@ class ResilientLidNode(ReliableNode):
 
     # -- internals -------------------------------------------------------
 
+    def _withdraw(self, peer: int) -> None:
+        """Resolve ``peer`` for good: it is never proposed to again."""
+        self.withdrawn.add(peer)
+        self._resolve(peer)
+
     def _release(self, src: int) -> None:
         """Drop a locked edge on the partner's revocation."""
         self.locked.discard(src)
-        self.proposed.discard(src)
-        self.unresolved.discard(src)
-        self.approachers.discard(src)
-        self.withdrawn.add(src)
+        self._withdraw(src)
         self.released_locks += 1
         if self.finished:
             # the freed slot stays empty: our final REJs already told
@@ -238,63 +219,6 @@ class ResilientLidNode(ReliableNode):
             self.post_finish_releases += 1
             return
         self._process()
-
-    def _outstanding(self) -> set[int]:
-        return self.proposed - self.locked
-
-    def _propose(self, j: int) -> None:
-        self.proposed.add(j)
-        self.rsend(j, PROP)
-        self.props_sent += 1
-        self.watch(j)
-
-    def _top_up(self) -> bool:
-        sent = False
-        while len(self.proposed) < self.quota:
-            j = self._next_candidate()
-            if j is None:
-                break
-            self._propose(j)
-            sent = True
-        return sent
-
-    def _next_candidate(self) -> Optional[int]:
-        while self._pos < len(self.weight_list):
-            j = self.weight_list[self._pos]
-            if j in self.unresolved and j not in self.proposed:
-                self._pos += 1
-                return j
-            self._pos += 1
-        return None
-
-    def _try_lock(self) -> bool:
-        ready = self._outstanding() & self.approachers
-        for v in ready:
-            self.locked.add(v)
-            self.approachers.discard(v)
-            self.unresolved.discard(v)
-            self.unwatch(v)
-        return bool(ready)
-
-    def _process(self) -> None:
-        if self.finished:
-            return
-        changed = True
-        while changed:
-            changed = self._try_lock()
-            changed = self._top_up() or changed
-        if not self._outstanding():
-            self._finish()
-
-    def _finish(self) -> None:
-        self.finished = True
-        for v in self.weight_list:  # deterministic broadcast order
-            if v in self.unresolved:
-                self.rsend(v, REJ)
-                self.rejs_sent += 1
-        self.unresolved.clear()
-        self.approachers.clear()
-        # stay polite: the transport still owes ACKs and late answers
 
 
 def make_byzantine_resilient(node: ResilientLidNode, mode: str = "reject_all"):
@@ -391,22 +315,6 @@ class ResilientLidResult:
         return frozenset(out)
 
 
-def _extract_mutual(nodes, live_honest: frozenset[int]) -> tuple[Matching, int]:
-    """Mutual locks among live honest nodes; counts one-sided leftovers."""
-    matching = Matching(len(nodes))
-    asymmetric = 0
-    for i in sorted(live_honest):
-        for j in nodes[i].locked:
-            if j not in live_honest:
-                continue
-            if i in nodes[j].locked:
-                if i < j:
-                    matching.add(i, j)
-            else:
-                asymmetric += 1
-    return matching, asymmetric
-
-
 def run_resilient_lid(
     wt: WeightTable,
     quotas: Sequence[int],
@@ -459,14 +367,6 @@ def run_resilient_lid(
     """
     n = wt.n
     check_quotas(quotas, n)
-    # The round budget is counted on the reliable-transport clock: under
-    # unit latency protocol wave r's deliveries land at virtual time r
-    # plus at most a few ULPs of FIFO tie-break skew (ACK traffic sent
-    # in the same instant on the same channel pushes a datagram's
-    # delivery to ``nextafter`` times), so the horizon sits at the
-    # midpoint of the inter-wave gap: every wave-k delivery is in,
-    # every wave-(k+1) delivery is out, and fault-free truncated runs
-    # are bit-identical to the reference truncated run.
     max_rounds = validate_max_rounds(max_rounds)
     if max_rounds is not None:
         if max_time is not None:
@@ -475,7 +375,7 @@ def run_resilient_lid(
                 " is the round-budget spelling of the same virtual-time"
                 " horizon"
             )
-        max_time = max_rounds + 0.5
+        max_time = round_horizon(max_rounds)
     byzantine = dict(byzantine or {})
     for b in byzantine:
         if not (0 <= b < n):
@@ -548,7 +448,8 @@ def run_resilient_lid(
         else:
             violations = []
 
-        matching, asymmetric = _extract_mutual(nodes, live_honest)
+        matching, one_sided = mutual_locks(nodes, members=live_honest)
+        asymmetric = len(one_sided)
         suspected_edges = frozenset(
             (i, j) if i < j else (j, i)
             for i in range(n)

@@ -11,8 +11,9 @@ contract the three static LID engines — :func:`~repro.core.lid.run_lid`,
 
 - execute exactly ``k`` synchronous delivery waves (the unit-latency
   clock: wave ``r`` delivers the messages sent during wave ``r - 1``;
-  the event-driven engines map this onto ``Simulator.run(max_time=k)``,
-  which processes every delivery at virtual time ``<= k``);
+  the event-driven engines stop their simulator at
+  :func:`round_horizon`, which admits every wave-``k`` delivery and
+  none of wave ``k + 1``);
 - stop, *dropping* the in-flight wave ``k + 1`` undelivered;
 - extract only the **mutual** locks — a directed lock whose reverse
   direction never locked (the partner's confirming ``PROP`` was still
@@ -41,6 +42,7 @@ __all__ = [
     "TruncationReport",
     "finalize_truncation",
     "lic_baseline_satisfaction",
+    "round_horizon",
     "validate_max_rounds",
 ]
 
@@ -116,6 +118,24 @@ def validate_max_rounds(max_rounds) -> Optional[int]:
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
     return int(max_rounds)
+
+
+def round_horizon(max_rounds: Optional[int]) -> Optional[float]:
+    """Virtual-time horizon of an event-driven run truncated at ``max_rounds``.
+
+    Under unit-latency channels wave ``r``'s deliveries land at virtual
+    time ``r``, shifted by at most a few ULPs of FIFO tie-break skew (in
+    the resilient runtime, ACK traffic sent in the same instant on the
+    same channel pushes a datagram's delivery to ``nextafter`` times).
+    The horizon therefore sits at the midpoint of the inter-wave gap:
+    every wave-``k`` delivery is in, every wave-``(k + 1)`` delivery is
+    out, and fault-free truncated runs of
+    :func:`~repro.core.lid.run_lid` and
+    :func:`~repro.core.resilient_lid.run_resilient_lid` lock the same
+    edges as the fast engine's ``k``-wave run.  ``None`` (run to
+    convergence) has no horizon.
+    """
+    return None if max_rounds is None else max_rounds + 0.5
 
 
 def lic_baseline_satisfaction(ps) -> float:

@@ -41,6 +41,7 @@ within the budget's backoff window.  Campaigns size
 
 from __future__ import annotations
 
+import math
 from typing import Any, Optional
 
 import numpy as np
@@ -87,12 +88,12 @@ class BackoffPolicy:
         jitter: float = 0.1,
         budget: Optional[int] = 12,
     ):
-        if base <= 0:
-            raise ValueError(f"base must be positive, got {base}")
-        if factor < 1.0:
-            raise ValueError(f"factor must be >= 1, got {factor}")
-        if cap < base:
-            raise ValueError(f"cap must be >= base, got cap={cap}, base={base}")
+        if not (math.isfinite(base) and base > 0):
+            raise ValueError(f"base must be positive and finite, got {base}")
+        if not (math.isfinite(factor) and factor >= 1.0):
+            raise ValueError(f"factor must be finite and >= 1, got {factor}")
+        if not (math.isfinite(cap) and cap >= base):
+            raise ValueError(f"cap must be finite and >= base, got cap={cap}, base={base}")
         if not (0.0 <= jitter < 1.0):
             raise ValueError(f"jitter must be in [0, 1), got {jitter}")
         if budget is not None and (not isinstance(budget, int) or budget < 1):
@@ -172,17 +173,21 @@ class ReliableNode(ProtocolNode):
     ):
         super().__init__()
         self.backoff = backoff if backoff is not None else BackoffPolicy()
-        if heartbeat_interval is not None and heartbeat_interval <= 0:
+        if heartbeat_interval is not None and not (
+            math.isfinite(heartbeat_interval) and heartbeat_interval > 0
+        ):
             raise ValueError(
-                f"heartbeat_interval must be positive, got {heartbeat_interval}"
+                "heartbeat_interval must be positive and finite, got "
+                f"{heartbeat_interval}"
             )
         if suspect_after is not None:
             if heartbeat_interval is None:
                 raise ValueError("suspect_after requires heartbeat_interval")
-            if suspect_after <= heartbeat_interval:
+            # a NaN threshold never compares true: detection would be off
+            if not (math.isfinite(suspect_after) and suspect_after > heartbeat_interval):
                 raise ValueError(
-                    "suspect_after must exceed heartbeat_interval "
-                    f"({suspect_after} <= {heartbeat_interval})"
+                    "suspect_after must be finite and exceed heartbeat_interval "
+                    f"(got {suspect_after}, interval {heartbeat_interval})"
                 )
         self.heartbeat_interval = heartbeat_interval
         self.suspect_after = suspect_after

@@ -1,10 +1,12 @@
 """Unit and property tests for LID (Algorithm 1) on the simulator."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 
 from repro.core.lic import lic_matching
-from repro.core.lid import LidNode, run_lid, solve_lid
+from repro.core.lid import LidNode, mutual_locks, run_lid, solve_lid
 from repro.core.weights import WeightTable, satisfaction_weights
 from repro.distsim import (
     BernoulliLoss,
@@ -285,6 +287,29 @@ class TestBackoff:
             LidNode([1], 1, retransmit_timeout=5.0, backoff="bogus")
         with pytest.raises(ValueError, match="backoff_cap"):
             LidNode([1], 1, retransmit_timeout=5.0, backoff_cap=1.0)
+
+    @pytest.mark.parametrize("backoff", ["none", "exponential"])
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0])
+    def test_rejects_unusable_retransmit_timeout(self, timeout, backoff):
+        # refused while the nodes are built, not when the first retry
+        # timer reaches the scheduler
+        wt = WeightTable({(0, 1): 1.0}, 2)
+        with pytest.raises(ValueError, match="base"):
+            run_lid(wt, [1, 1], retransmit_timeout=timeout, backoff=backoff)
+
+
+class TestMutualLocks:
+    def test_members_range_and_order(self):
+        locks = [{1}, {0}, {7}, {0, 4}, {3}]
+        nodes = [SimpleNamespace(locked=held) for held in locks]
+        matching, one_sided = mutual_locks(nodes, members={0, 1, 2, 3})
+        # 3's lock on non-member 4 is ignored; the out-of-range partner
+        # 7 and the unreturned lock 3 -> 0 are one-sided, in node order
+        assert matching.edge_set() == {(0, 1)}
+        assert one_sided == [(2, 7), (3, 0)]
+        matching, one_sided = mutual_locks(nodes)
+        assert matching.edge_set() == {(0, 1), (3, 4)}
+        assert one_sided == [(2, 7), (3, 0)]
 
 
 class TestSolveLidFaultParams:

@@ -87,15 +87,17 @@ class TestExactReplay:
         for queue in ("heap", "calendar"):
             # run_lid builds its own Simulator; drive the scheduler
             # directly to control the queue discipline
-            from repro.core.lid import LidNode, _extract_matching
+            from repro.core.lid import LidNode, mutual_locks
 
             nodes = [
                 LidNode(wt.weight_list(i), ps.quota(i)) for i in range(wt.n)
             ]
             sim = Simulator(Network(wt.n), nodes, queue=queue)
             metrics = sim.run()
+            matching, one_sided = mutual_locks(nodes)
+            assert one_sided == []
             results[queue] = (
-                _extract_matching(nodes).edge_set(),
+                matching.edge_set(),
                 metrics.sent_by_kind,
                 metrics.sent_by_node,
                 metrics.events,

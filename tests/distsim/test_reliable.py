@@ -1,5 +1,7 @@
 """Tests for the reliable-channel layer and heartbeat failure detector."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,24 @@ class TestBackoffPolicy:
         # the initial send plus 4 retries wait 1 + 2 + 4 + 4 + 4
         assert policy.span() == pytest.approx(15.0)
         assert BackoffPolicy(budget=None).span() == float("inf")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (BackoffPolicy, "base"),
+        (BackoffPolicy, "factor"),
+        (BackoffPolicy, "cap"),
+        (ReliableNode, "heartbeat_interval"),
+        (partial(ReliableNode, heartbeat_interval=1.0), "suspect_after"),
+    ],
+)
+def test_non_finite_timing_rejected_at_construction(build, name, value):
+    # a NaN threshold never compares true and an infinite delay never
+    # fires, so either would silently disable the mechanism mid-run
+    with pytest.raises(ValueError, match=name):
+        build(**{name: value})
 
 
 class _Echo(ReliableNode):
