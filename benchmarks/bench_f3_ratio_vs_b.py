@@ -6,31 +6,42 @@ guaranteed floor ¼(1+1/b) and the intermediate Theorem-1 factor
 ½(1+1/b).  Expected shape: the guarantee decreases from 0.5 towards
 0.25 as b grows, while the *measured* ratio stays high (≈0.85+) —
 i.e. the analysis is worst-case, and its slack grows with b.
+
+The (b × seed) grid is a declarative
+:class:`~repro.experiments.gridspec.GridSpec` with ``measure_ratio``
+enabled — each cell solves the exact optimum and records the Theorem-3
+fields; this file only aggregates the records (worst ratio over seeds).
 """
 
 
 from repro.core.analysis import theorem1_bound, theorem3_bound
 from repro.core.lid import solve_lid
 from repro.experiments import (
+    GridSpec,
     aggregate,
     random_preference_instance,
-    satisfaction_ratio_record,
-    sweep,
+    run_grid,
 )
 
 
-def _run(b: int, seed: int) -> dict:
-    ps = random_preference_instance(24, p=0.35, quota=b, seed=seed)
-    rec = satisfaction_ratio_record(ps)
-    return {
-        "ratio": rec["ratio"],
-        "bound_ok": rec["bound_ok"],
-    }
+def f3_spec() -> GridSpec:
+    """The F3 grid: LID vs the exact optimum for uniform quotas 1..6."""
+    return GridSpec(
+        name="f3-ratio-vs-b",
+        engines=("lid-reference",),
+        sizes=(24,),
+        quotas=(1, 2, 3, 4, 5, 6),
+        seeds=(0, 1, 2),
+        density=0.35,
+        measure_ratio=True,
+    )
 
 
 def test_f3_ratio_vs_b_series(report, benchmark):
-    rows = sweep(_run, {"b": [1, 2, 3, 4, 5, 6], "seed": [0]}, repeats=3)
-    agg = aggregate(rows, ["b"], ["ratio", "bound_ok"], reducers={"ratio": min})
+    result = run_grid(f3_spec())
+    assert result.ok, [r for r in result.failures]
+    agg = aggregate(result.records, ["b"], ["ratio", "bound_ok"],
+                    reducers={"ratio": min})
     for r in agg:
         r["thm3_floor"] = theorem3_bound(r["b"])
         r["thm1_factor"] = theorem1_bound(r["b"])

@@ -13,7 +13,6 @@ from repro.experiments import (
     FAMILIES,
     aggregate,
     random_weighted_instance,
-    sweep,
     topology_for_family,
     weight_ratio_record,
 )
@@ -35,11 +34,13 @@ def _run(family: str, n: int, seed: int) -> dict:
 
 
 def test_t1_weight_ratio_table(report, benchmark):
-    rows = sweep(
-        _run,
-        {"family": list(FAMILIES), "n": [30, 60], "seed": [0]},
-        repeats=3,
-    )
+    # random-weight WeightTables are not grid instances: a plain loop
+    rows = [
+        {"family": family, "n": n, **_run(family, n, seed)}
+        for family in FAMILIES
+        for n in (30, 60)
+        for seed in range(3)
+    ]
     agg = aggregate(
         rows,
         ["family", "n"],

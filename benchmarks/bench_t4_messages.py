@@ -9,51 +9,69 @@ quota grow.  Expected shape:
   once per message type), so total messages grow linearly in m;
 - rounds grow slowly (the proposal wave is locally bounded), far below n.
 
-Backend-aware (``--repro-backend`` / ``REPRO_BENCH_BACKEND``): the
-sweep runs on the event-by-event simulator or the round-batched fast
+The (n × b × seed) grid is a declarative
+:class:`~repro.experiments.gridspec.GridSpec` executed by
+:func:`~repro.experiments.grid.run_grid`; this file only derives the T4
+columns from the cell records and aggregates them over seeds.
+
+Backend-aware (``--repro-backend`` / ``REPRO_BENCH_BACKEND``): the grid
+runs on the event-by-event simulator or the round-batched fast
 engine — the message statistics are identical by construction, and the
 smallest grid point is cross-checked between both engines every run.
 """
 
 
-from repro.core.fast import FastInstance
-from repro.core.fast_lid import lid_matching_fast
 from repro.core.lid import run_lid
 from repro.core.weights import satisfaction_weights
-from repro.experiments import aggregate, random_preference_instance, sweep
+from repro.experiments import (
+    GridSpec,
+    aggregate,
+    random_preference_instance,
+    run_grid,
+    run_grid_cell,
+)
 
 
-def _run(n: int, b: int, seed: int, backend: str = "reference") -> dict:
-    ps = random_preference_instance(n, p=min(0.3, 12.0 / n), quota=b, seed=seed)
-    if backend == "fast":
-        res = lid_matching_fast(FastInstance.from_preference_system(ps))
-        # the fast engine raises ProtocolError on any unfinished node,
-        # so reaching this line is the termination witness
-        terminated = True
-    else:
-        res = run_lid(satisfaction_weights(ps), ps.quotas)
-        terminated = all(node.finished for node in res.nodes)
-    m = ps.m
+def t4_spec(backend: str) -> GridSpec:
+    """The T4 grid: LID on ER instances of expected degree 12."""
+    return GridSpec(
+        name=f"t4-{backend}",
+        engines=(f"lid-{backend}",),
+        sizes=(50, 100, 200, 400),
+        quotas=(2, 4),
+        seeds=(0, 1),
+        degree=12.0,
+    )
+
+
+def _t4_fields(record: dict) -> dict:
+    """The T4 message statistics of one LID grid record."""
+    m = record["m"]
+    prop = record.get("sent_PROP", 0)
+    rej = record.get("sent_REJ", 0)
     return {
         "m": m,
-        "prop": res.prop_messages,
-        "rej": res.rej_messages,
-        "total": res.metrics.total_sent,
-        "rounds": res.rounds,
-        "msgs_per_edge": res.metrics.total_sent / max(m, 1),
-        "prop_bound_ok": res.prop_messages <= 2 * m,
-        "rej_bound_ok": res.rej_messages <= 2 * m,
-        "terminated": terminated,
+        "prop": prop,
+        "rej": rej,
+        "total": record["messages"],
+        "rounds": record["rounds"],
+        "msgs_per_edge": record["msgs_per_edge"],
+        "prop_bound_ok": prop <= 2 * m,
+        "rej_bound_ok": rej <= 2 * m,
+        # both LID engines raise ProtocolError on any unfinished node
+        # and run_grid passes it on, so a completed cell is the
+        # termination witness
+        "terminated": True,
     }
 
 
 def test_t4_message_complexity_table(report, benchmark, bench_backend):
-    rows = sweep(
-        _run,
-        {"n": [50, 100, 200, 400], "b": [2, 4], "seed": [0]},
-        repeats=2,
-        backend=bench_backend,
-    )
+    result = run_grid(t4_spec(bench_backend))
+    assert result.ok, [r for r in result.failures]
+    rows = [
+        {"n": r["n"], "b": r["b"], "backend": bench_backend, **_t4_fields(r)}
+        for r in result.records
+    ]
     agg = aggregate(
         rows,
         ["n", "b", "backend"],
@@ -73,9 +91,11 @@ def test_t4_message_complexity_table(report, benchmark, bench_backend):
         assert r["msgs_per_edge"] <= 4.0
 
     # cross-check subsample: the two engines must report identical
-    # message statistics on the smallest grid point
-    ref = _run(50, 2, seed=0, backend="reference")
-    fast = _run(50, 2, seed=0, backend="fast")
+    # message statistics on the smallest grid point (the first cell)
+    ref, fast = (
+        _t4_fields(run_grid_cell(spec, spec.cells()[0]))
+        for spec in (t4_spec("reference"), t4_spec("fast"))
+    )
     assert fast == ref
 
     ps = random_preference_instance(200, 12.0 / 200, 3, seed=9)

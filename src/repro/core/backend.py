@@ -17,8 +17,8 @@ Both produce the same results — bit-identical weights and identical
 edge sets (see ``docs/performance.md``) — so callers pick purely on
 instance size.  :func:`get_backend` is the one switch threaded through
 :func:`repro.core.lic.solve_modified_bmatching`,
-:class:`repro.overlay.churn.DynamicOverlay`,
-:func:`repro.experiments.runner.sweep` and the ``python -m repro`` CLI.
+:class:`repro.overlay.churn.DynamicOverlay`, the grid engines of
+:mod:`repro.experiments.grid` and the ``python -m repro`` CLI.
 """
 
 from __future__ import annotations

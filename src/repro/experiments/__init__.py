@@ -1,13 +1,14 @@
-"""Experiment harness: instances, sweeps, ratios, reporting.
+"""Experiment harness: instances, grids, ratios, reporting.
 
 The benchmark files under ``benchmarks/`` are thin: they time the
 algorithms with pytest-benchmark and delegate instance generation,
-metric computation and table printing to this package so results stay
-consistent between tests, benches and EXPERIMENTS.md.
+grid execution, metric computation and table printing to this package
+so results stay consistent between tests, benches and EXPERIMENTS.md.
 """
 
 from repro.experiments.aggregate import (
     GridIncompleteError,
+    aggregate,
     collect_records,
     grid_status,
     render_report,
@@ -49,7 +50,6 @@ from repro.experiments.instances import (
 from repro.experiments.ratios import satisfaction_ratio_record, weight_ratio_record
 from repro.experiments.registry import EXPERIMENTS, Experiment, get_experiment
 from repro.experiments.reporting import format_table, print_table, write_csv
-from repro.experiments.runner import aggregate, sweep
 
 __all__ = [
     "ENGINES",
@@ -91,5 +91,4 @@ __all__ = [
     "print_table",
     "write_csv",
     "aggregate",
-    "sweep",
 ]

@@ -3,7 +3,9 @@
 Joins the per-cell JSON records of a :class:`~repro.experiments.grid
 .GridStore` into the summary tables and CSVs that back EXPERIMENTS.md
 and ``benchmarks/results/`` — one command regenerates everything
-(``python -m repro grid report``).
+(``python -m repro grid report``).  :func:`aggregate` is the generic
+group-and-reduce step underneath; the benches apply it to grid records
+and to their own record lists.
 
 Determinism contract: the canonical outputs (``report.md`` and
 ``summary.csv``) are pure functions of the cell *coordinates* — every
@@ -18,18 +20,19 @@ timings and is explicitly not part of that contract.
 
 from __future__ import annotations
 
+import statistics
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.experiments.grid import GridStore
 from repro.experiments.gridspec import GridSpec
-from repro.experiments.runner import aggregate
 from repro.experiments.reporting import write_csv
 from repro.telemetry.sink import NONDETERMINISTIC_SUFFIXES
 
 __all__ = [
     "GridIncompleteError",
     "NONCANONICAL_FIELDS",
+    "aggregate",
     "collect_records",
     "grid_status",
     "render_report",
@@ -93,6 +96,47 @@ def collect_records(
             " (or pass --partial to report what exists)"
         )
     return records
+
+
+def aggregate(
+    records: Iterable[Mapping],
+    group_by: Sequence[str],
+    fields: Sequence[str],
+    reducers: Mapping[str, Callable[[list], float]] | None = None,
+) -> list[dict]:
+    """Group records and reduce numeric fields (mean by default).
+
+    ``reducers`` may map a field to e.g. ``min``/``max``/``statistics.stdev``.
+    Boolean fields aggregate to the fraction of ``True``.  A reducer
+    that needs at least two data points (``statistics.stdev`` on a
+    single-record group) yields ``None`` for that field rather than
+    raising, so sparse sweeps still aggregate.
+    """
+    reducers = dict(reducers or {})
+    groups: dict[tuple, list[Mapping]] = {}
+    for rec in records:
+        # .get: records written before a coordinate existed (e.g. a
+        # store predating the max_rounds axis) group under None
+        key = tuple(rec.get(g) for g in group_by)
+        groups.setdefault(key, []).append(rec)
+    out = []
+    for key, recs in groups.items():
+        row = dict(zip(group_by, key))
+        row["count"] = len(recs)
+        for f in fields:
+            vals = [r[f] for r in recs if f in r]
+            if not vals:
+                continue
+            if all(isinstance(v, bool) for v in vals):
+                row[f] = sum(vals) / len(vals)
+            else:
+                reducer = reducers.get(f, statistics.fmean)
+                try:
+                    row[f] = reducer([float(v) for v in vals])
+                except statistics.StatisticsError:
+                    row[f] = None
+        out.append(row)
+    return out
 
 
 def _metric_fields(records: Iterable[Mapping]) -> list[str]:

@@ -6,8 +6,6 @@ Entry point (installed via ``python -m repro``):
   run LID, print matching statistics;
 - ``python -m repro compare geo_latency --n 40``    — satisfaction
   comparison of LID vs baselines vs OPT on one scenario;
-- ``python -m repro experiment t1|t2|t4|f4|f6``     — quick versions of
-  the named experiments (full versions live in ``benchmarks/``);
 - ``python -m repro campaign [--smoke]``            — seeded fault
   campaign (loss × crash × partition × Byzantine); ``--smoke`` is the
   chaos-smoke CI preset and exits non-zero on any invariant violation;
@@ -47,15 +45,9 @@ from repro.baselines import (
     random_bmatching,
 )
 from repro.core import solve_lid
-from repro.experiments.instances import (
-    FAMILIES,
-    cyclic_roommates,
-    family_instance,
-    random_preference_instance,
-)
-from repro.experiments.ratios import satisfaction_ratio_record, weight_ratio_record
+from repro.experiments.instances import FAMILIES
 from repro.experiments.reporting import print_table
-from repro.overlay import SCENARIOS, DynamicOverlay, Peer, build_scenario
+from repro.overlay import SCENARIOS, DynamicOverlay, build_scenario
 from repro.utils.rng import spawn_rng
 
 __all__ = ["main", "build_parser"]
@@ -107,82 +99,6 @@ def _cmd_compare(args) -> int:
         add("OPT", max_satisfaction_bmatching_milp(ps))
     print_table(rows, title=f"satisfaction comparison — {sc.name}, n={ps.n}"
                             " (* = oscillating snapshot)")
-    return 0
-
-
-def _cmd_experiment(args) -> int:
-    if args.id == "t1":
-        rows = []
-        for family in FAMILIES:
-            ps = family_instance(family, args.n, 3, seed=args.seed)
-            from repro.core.weights import satisfaction_weights
-
-            rec = weight_ratio_record(satisfaction_weights(ps), list(ps.quotas))
-            rows.append({"family": family, **rec})
-        print_table(
-            rows,
-            ["family", "m", "ratio", "bound", "bound_ok", "lid_equals_lic"],
-            title="T1 (quick) — weight ratio vs exact optimum",
-        )
-    elif args.id == "t2":
-        rows = []
-        for b in (1, 2, 4):
-            ps = random_preference_instance(args.n, 0.3, b, seed=args.seed)
-            rows.append({"b": b, **satisfaction_ratio_record(ps)})
-        print_table(
-            rows,
-            ["b", "n", "m", "lid_sat", "opt_sat", "ratio", "bound", "bound_ok"],
-            title="T2 (quick) — satisfaction ratio vs exact optimum",
-        )
-    elif args.id == "t4":
-        from repro.core.lid import run_lid
-        from repro.core.weights import satisfaction_weights
-
-        rows = []
-        for n in (50, 100, 200):
-            ps = random_preference_instance(n, min(0.3, 12.0 / n), 3, seed=args.seed)
-            res = run_lid(satisfaction_weights(ps), ps.quotas)
-            rows.append(
-                {"n": n, "m": ps.m, "messages": res.metrics.total_sent,
-                 "rounds": res.rounds,
-                 "per_edge": res.metrics.total_sent / max(ps.m, 1)}
-            )
-        print_table(rows, title="T4 (quick) — message complexity")
-    elif args.id == "f6":
-        import numpy as np
-        from repro.core.mixed import run_mixed_adoption
-        from repro.core.weights import satisfaction_weights
-
-        ps = random_preference_instance(args.n, 0.3, 3, seed=args.seed)
-        wt = satisfaction_weights(ps)
-        rows = []
-        for f in (1.0, 0.75, 0.5):
-            rng = spawn_rng(args.seed, "cli-f6", str(f))
-            k = int(round(f * ps.n))
-            adopters = {int(x) for x in rng.choice(ps.n, size=k, replace=False)}
-            res = run_mixed_adoption(wt, ps.quotas, adopters=adopters,
-                                     legacy_seed=args.seed)
-            v = res.matching.satisfaction_vector(ps)
-            rows.append({
-                "adoption": f,
-                "stalled": res.deadlocked,
-                "adopter_sat": float(np.mean([v[i] for i in adopters]))
-                if adopters else float("nan"),
-            })
-        print_table(rows, title="F6 (quick) — partial adoption")
-    elif args.id == "f4":
-        rows = []
-        for k in (3, 5, 9):
-            ps = cyclic_roommates(k)
-            br = best_response_dynamics(ps)
-            lid, _ = solve_lid(ps)
-            rows.append(
-                {"instance": f"odd-ring k={k}", "br_cycles": br.cycled,
-                 "lid_rounds": lid.rounds, "lid_matched": lid.matching.size()}
-            )
-        print_table(rows, title="F4 (quick) — cyclic preferences")
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown experiment {args.id}")
     return 0
 
 
@@ -462,24 +378,13 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_churn(args) -> int:
+    from repro.experiments.grid import churn_session
+
     sc = build_scenario("geo_latency", args.n, seed=args.seed)
     overlay = DynamicOverlay(sc.topology, sc.peers, sc.metric, backend=args.backend)
     rng = spawn_rng(args.seed, "cli-churn")
-    changes = 0
-    reused = recomputed = 0
-    for _ in range(args.events):
-        if rng.random() < 0.5 and overlay.n > max(10, args.n // 3):
-            stats = overlay.leave(int(rng.choice(overlay.active_ids())))
-        else:
-            ids = overlay.active_ids()
-            k = min(int(rng.integers(2, 6)), len(ids))
-            neigh = [int(x) for x in rng.choice(ids, size=k, replace=False)]
-            _, stats = overlay.join(
-                Peer(peer_id=-1, position=rng.uniform(0, 1, 2), quota=3), neigh
-            )
-        changes += stats.resolutions
-        reused += stats.weights_reused
-        recomputed += stats.weights_recomputed
+    changes, reused, recomputed = churn_session(overlay, rng, args.events,
+                                                args.n, quota=3)
     print(f"{args.events} churn events -> {overlay.n} peers alive,"
           f" {changes} connection changes,"
           f" satisfaction {overlay.total_satisfaction():.2f}")
@@ -597,12 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="reference",
                    help="execution backend for the LIC pipeline row")
     p.set_defaults(fn=_cmd_compare)
-
-    p = sub.add_parser("experiment", help="quick version of a named experiment")
-    p.add_argument("id", choices=["t1", "t2", "t4", "f4", "f6"])
-    p.add_argument("--n", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("list", help="list the experiment inventory")
     p.set_defaults(fn=_cmd_list)

@@ -61,6 +61,7 @@ __all__ = [
     "GridRunResult",
     "GridStore",
     "StaleStoreError",
+    "churn_session",
     "run_grid",
     "run_grid_cell",
 ]
@@ -295,10 +296,40 @@ def _run_truncated(spec: GridSpec, cell: GridCell, tel=NULL, probe=None) -> dict
     return record
 
 
+def churn_session(overlay, rng, events: int, n0: int,
+                  quota: int) -> tuple[int, int, int]:
+    """Apply ``events`` random joins and leaves to a ``DynamicOverlay``.
+
+    Each event draws from ``rng``: with probability ½ (while more than
+    ``max(10, n0 // 3)`` peers are alive) a random peer leaves,
+    otherwise a peer with quota ``quota`` joins next to 2–5 random live
+    peers.  Returns the summed repair statistics ``(resolutions,
+    weights_reused, weights_recomputed)``.
+    """
+    from repro.overlay.peer import Peer
+
+    changes = reused = recomputed = 0
+    for _ in range(events):
+        if rng.random() < 0.5 and overlay.n > max(10, n0 // 3):
+            stats = overlay.leave(int(rng.choice(overlay.active_ids())))
+        else:
+            ids = overlay.active_ids()
+            k = min(int(rng.integers(2, 6)), len(ids))
+            neigh = [int(x) for x in rng.choice(ids, size=k, replace=False)]
+            _, stats = overlay.join(
+                Peer(peer_id=-1, position=rng.uniform(0, 1, 2), quota=quota),
+                neigh,
+            )
+        changes += stats.resolutions
+        reused += stats.weights_reused
+        recomputed += stats.weights_recomputed
+    return changes, reused, recomputed
+
+
 def _run_churn(spec: GridSpec, cell: GridCell, tel=NULL) -> dict:
     from repro.overlay import DynamicOverlay
     from repro.overlay.metrics import PrivateTasteMetric
-    from repro.overlay.peer import Peer, generate_peers
+    from repro.overlay.peer import generate_peers
 
     with tel.span("build_overlay"):
         rng = spawn_rng(cell.seed, "grid-churn", cell.family, str(cell.n),
@@ -307,24 +338,10 @@ def _run_churn(spec: GridSpec, cell: GridCell, tel=NULL) -> dict:
         peers = generate_peers(cell.n, rng, quota_range=(cell.b, cell.b))
         overlay = DynamicOverlay(topo, peers, PrivateTasteMetric(seed=cell.seed),
                                  backend=engine_backend(cell.engine))
-    changes = reused = recomputed = 0
     t0 = time.perf_counter()
     with tel.span("churn_loop"):
-        for _ in range(cell.churn):
-            if rng.random() < 0.5 and overlay.n > max(10, cell.n // 3):
-                stats = overlay.leave(int(rng.choice(overlay.active_ids())))
-            else:
-                ids = overlay.active_ids()
-                k = min(int(rng.integers(2, 6)), len(ids))
-                neigh = [int(x) for x in rng.choice(ids, size=k, replace=False)]
-                _, stats = overlay.join(
-                    Peer(peer_id=-1, position=rng.uniform(0, 1, 2),
-                         quota=cell.b),
-                    neigh,
-                )
-            changes += stats.resolutions
-            reused += stats.weights_reused
-            recomputed += stats.weights_recomputed
+        changes, reused, recomputed = churn_session(overlay, rng, cell.churn,
+                                                    cell.n, cell.b)
     wall = time.perf_counter() - t0
     return {
         "alive": int(overlay.n),

@@ -33,6 +33,9 @@ EXPERIMENTS: tuple[Experiment, ...] = (
                "Lemma 5, §5", "benchmarks/bench_t4_messages.py"),
     Experiment("t5", "static share ≥ ½(1+1/b), tight construction",
                "Lemma 1 / eq. 8", "benchmarks/bench_t5_static_bound.py"),
+    Experiment("t6", "round-truncated almost-stable LID: quality vs round"
+               " budget k",
+               "Theorem 3", "benchmarks/bench_t6_truncation.py"),
     Experiment("f1", "satisfaction distributions vs baselines/OPT",
                "§1, §3", "benchmarks/bench_f1_satisfaction_dist.py"),
     Experiment("f2", "scalability at constant degree",

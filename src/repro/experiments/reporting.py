@@ -11,7 +11,7 @@ import csv
 from pathlib import Path
 from typing import Mapping, Sequence
 
-__all__ = ["format_table", "print_table", "write_csv", "ascii_histogram", "sparkline"]
+__all__ = ["format_table", "print_table", "write_csv", "ascii_histogram"]
 
 
 def _fmt(value) -> str:
@@ -87,7 +87,7 @@ def ascii_histogram(
 ) -> str:
     """Render a fixed-width text histogram of ``values``.
 
-    Used by the CLI and the distribution experiments so that
+    Used by the distribution experiment (F1) so that
     ``bench_output.txt`` carries the *shape* of per-node satisfaction,
     not just summary statistics.  ``lo``/``hi`` pin the range (defaults
     to the data range; satisfaction plots typically pass 0 and 1).
@@ -113,18 +113,3 @@ def ascii_histogram(
         bar = "#" * (round(width * c / peak) if peak else 0)
         lines.append(f"[{a:6.3f},{b:6.3f}) {c:4d} {bar}")
     return "\n".join(lines) + "\n"
-
-
-def sparkline(values) -> str:
-    """One-line block-character sketch of a numeric series."""
-    blocks = "▁▂▃▄▅▆▇█"
-    vals = [float(v) for v in values]
-    if not vals:
-        return ""
-    lo, hi = min(vals), max(vals)
-    if hi <= lo:
-        return blocks[0] * len(vals)
-    return "".join(
-        blocks[min(int((v - lo) / (hi - lo) * len(blocks)), len(blocks) - 1)]
-        for v in vals
-    )

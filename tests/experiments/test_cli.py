@@ -21,10 +21,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario", "nope"])
 
-    def test_rejects_unknown_experiment(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "zz"])
-
 
 class TestCommands:
     def test_scenario(self, capsys):
@@ -36,12 +32,6 @@ class TestCommands:
         assert main(["compare", "heterogeneous", "--n", "20", "--exact"]) == 0
         out = capsys.readouterr().out
         assert "LID" in out and "OPT" in out and "random" in out
-
-    @pytest.mark.parametrize("exp", ["t1", "t2", "t4", "f4"])
-    def test_experiments(self, exp, capsys):
-        assert main(["experiment", exp, "--n", "20"]) == 0
-        out = capsys.readouterr().out
-        assert exp.upper() in out
 
     def test_churn(self, capsys):
         assert main(["churn", "--n", "25", "--events", "6"]) == 0
@@ -108,12 +98,6 @@ class TestNewCommands:
         assert main(["discover", "--n", "20", "--rounds", "4"]) == 0
         out = capsys.readouterr().out
         assert "discovery" in out and "matching" in out
-
-    def test_experiment_f6(self, capsys):
-        from repro.experiments.cli import main
-
-        assert main(["experiment", "f6", "--n", "16"]) == 0
-        assert "F6" in capsys.readouterr().out
 
 
 class TestGridCli:
@@ -223,3 +207,7 @@ class TestRegistry:
         root = Path(__file__).parents[2]
         for e in EXPERIMENTS:
             assert (root / e.bench).exists(), e.bench
+        # and the reverse: every bench file has a registry row
+        registered = {e.bench for e in EXPERIMENTS}
+        for path in sorted((root / "benchmarks").glob("bench_*.py")):
+            assert path.relative_to(root).as_posix() in registered, path.name

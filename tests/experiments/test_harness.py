@@ -1,8 +1,9 @@
-"""Tests for the experiments harness (instances, runner, reporting, ratios)."""
+"""Tests for the experiments harness (instances, aggregate, reporting, ratios)."""
 
 import numpy as np
 import pytest
 
+from repro.experiments.aggregate import aggregate
 from repro.experiments.instances import (
     FAMILIES,
     cyclic_roommates,
@@ -13,7 +14,6 @@ from repro.experiments.instances import (
 )
 from repro.experiments.ratios import satisfaction_ratio_record, weight_ratio_record
 from repro.experiments.reporting import format_table, write_csv
-from repro.experiments.runner import aggregate, sweep
 
 
 class TestInstances:
@@ -64,18 +64,6 @@ class TestRatios:
 
 
 class TestRunner:
-    def test_sweep_product(self):
-        rows = sweep(lambda a, b: {"s": a + b}, {"a": [1, 2], "b": [10, 20]})
-        assert len(rows) == 4
-        assert {"a": 1, "b": 20, "s": 21} in rows
-
-    def test_sweep_repeats_inject_seed(self):
-        rows = sweep(
-            lambda seed: {"seed_used": seed}, {"seed": [0]}, repeats=3
-        )
-        assert [r["seed_used"] for r in rows] == [0, 1, 2]
-        assert [r["rep"] for r in rows] == [0, 1, 2]
-
     def test_aggregate_means_and_bool_fractions(self):
         rows = [
             {"g": "x", "v": 1.0, "ok": True},
@@ -133,105 +121,3 @@ class TestHistogram:
         # constant data must not divide by zero
         text = ascii_histogram([0.5, 0.5, 0.5], bins=4)
         assert text.count("3") >= 1
-
-    def test_sparkline(self):
-        from repro.experiments.reporting import sparkline
-
-        s = sparkline([0, 1, 2, 3])
-        assert len(s) == 4 and s[0] == "▁" and s[-1] == "█"
-        assert sparkline([]) == ""
-        assert sparkline([2, 2]) == "▁▁"
-
-
-def _square_job(x, seed=0):
-    """Module-level so the parallel sweep can pickle it."""
-    return {"sq": x * x + seed * 0}
-
-
-def _backend_job(x, backend="reference"):
-    """Module-level, accepts ``backend``: picklable for worker pools."""
-    return {"used": backend, "x2": 2 * x}
-
-
-def _no_backend_job(x):
-    """Module-level, does NOT accept ``backend``."""
-    return {"x2": 2 * x}
-
-
-def _lic_job(n, seed=0, backend="reference"):
-    """Solve a small instance on the requested backend (module-level)."""
-    from repro.core import get_backend
-    from repro.experiments.instances import random_preference_instance
-
-    ps = random_preference_instance(n, 0.3, 2, seed=seed)
-    m = get_backend(backend).solve(ps)
-    return {"edges": m.size()}
-
-
-class TestParallelSweep:
-    def test_workers_match_sequential(self):
-        grid = {"x": [1, 2, 3, 4]}
-        seq = sweep(_square_job, grid)
-        par = sweep(_square_job, grid, workers=2)
-        assert seq == par
-
-    def test_workers_with_repeats(self):
-        rows = sweep(_square_job, {"x": [2]}, repeats=3, workers=2)
-        assert [r["rep"] for r in rows] == [0, 1, 2]
-        assert all(r["sq"] == 4 for r in rows)
-
-    def test_workers_preserve_record_order(self):
-        grid = {"x": [5, 1, 4, 2, 3]}
-        rows = sweep(_square_job, grid, workers=3)
-        assert [r["x"] for r in rows] == [5, 1, 4, 2, 3]
-        assert [r["sq"] for r in rows] == [25, 1, 16, 4, 9]
-
-    def test_workers_with_seed_offsets(self):
-        seq = sweep(
-            lambda seed: {"seed_used": seed}, {"seed": [0, 1]}, repeats=2
-        )
-        par = sweep(_seed_echo_job, {"seed": [0, 1]}, repeats=2, workers=2)
-        assert [r["seed_used"] for r in par] == [r["seed_used"] for r in seq]
-
-    def test_one_worker_stays_sequential(self):
-        rows = sweep(_square_job, {"x": [3]}, workers=1)
-        assert rows == [{"x": 3, "sq": 9}]
-
-
-def _seed_echo_job(seed):
-    """Module-level echo of the injected seed (picklable)."""
-    return {"seed_used": seed}
-
-
-class TestSweepBackend:
-    def test_backend_injected_and_annotated(self):
-        rows = sweep(_backend_job, {"x": [1, 2]}, backend="fast")
-        assert all(r["backend"] == "fast" and r["used"] == "fast" for r in rows)
-
-    def test_backend_annotation_without_injection(self):
-        # run() does not accept backend: annotate only, never pass it
-        rows = sweep(_no_backend_job, {"x": [1]}, backend="fast")
-        assert rows == [{"x": 1, "backend": "fast", "x2": 2}]
-
-    def test_no_backend_by_default(self):
-        rows = sweep(_backend_job, {"x": [1]})
-        assert "backend" not in rows[0]
-        assert rows[0]["used"] == "reference"  # run()'s own default
-
-    def test_grid_value_wins_over_sweep_backend(self):
-        rows = sweep(
-            _backend_job, {"x": [1], "backend": ["reference"]}, backend="fast"
-        )
-        assert rows[0]["used"] == "reference"
-
-    def test_unknown_backend_rejected_before_running(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            sweep(_backend_job, {"x": [1]}, backend="bogus")
-
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_backends_agree_across_workers(self, workers):
-        grid = {"n": [12, 16]}
-        ref = sweep(_lic_job, grid, backend="reference", workers=workers)
-        fast = sweep(_lic_job, grid, backend="fast", workers=workers)
-        assert [r["edges"] for r in ref] == [r["edges"] for r in fast]
-        assert all(r["backend"] == "fast" for r in fast)
