@@ -16,8 +16,7 @@ pipeline (eq.-9 weights → LIC edge selection → satisfaction scoring):
 Both produce the same results — bit-identical weights and identical
 edge sets (see ``docs/performance.md``) — so callers pick purely on
 instance size.  :func:`get_backend` is the one switch threaded through
-:func:`repro.core.lic.solve_modified_bmatching`,
-:class:`repro.overlay.churn.DynamicOverlay`, the grid engines of
+:func:`repro.core.lic.solve_modified_bmatching`, the grid engines of
 :mod:`repro.experiments.grid` and the ``python -m repro`` CLI.
 """
 

@@ -333,7 +333,6 @@ def run_resilient_lid(
     monitor: "bool | InvariantMonitor" = True,
     strict: bool = False,
     trace: Optional[Trace] = None,
-    queue: str = "auto",
     max_events: Optional[int] = None,
     max_time: Optional[float] = None,
     max_rounds: Optional[int] = None,
@@ -427,7 +426,7 @@ def run_resilient_lid(
             mon = None
         else:
             mon = monitor
-        sim = Simulator(network, nodes, trace=trace, queue=queue, monitor=mon)
+        sim = Simulator(network, nodes, trace=trace, monitor=mon)
         if crashes is not None:
             crashes.install(sim)
         if partitions is not None:

@@ -381,14 +381,14 @@ def _cmd_churn(args) -> int:
     from repro.experiments.grid import churn_session
 
     sc = build_scenario("geo_latency", args.n, seed=args.seed)
-    overlay = DynamicOverlay(sc.topology, sc.peers, sc.metric, backend=args.backend)
+    overlay = DynamicOverlay(sc.topology, sc.peers, sc.metric)
     rng = spawn_rng(args.seed, "cli-churn")
     changes, reused, recomputed = churn_session(overlay, rng, args.events,
                                                 args.n, quota=3)
     print(f"{args.events} churn events -> {overlay.n} peers alive,"
           f" {changes} connection changes,"
           f" satisfaction {overlay.total_satisfaction():.2f}")
-    if args.backend == "fast" and reused + recomputed:
+    if reused + recomputed:
         print(f"weight cache: {reused} reused / {recomputed} recomputed"
               f" ({100.0 * reused / (reused + recomputed):.0f}% reuse)")
     return 0
@@ -690,10 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--events", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=["reference", "fast"],
-                   default="reference",
-                   help="reference rebuilds weights per event; fast uses"
-                        " the incremental WeightCache")
     p.set_defaults(fn=_cmd_churn)
 
     return parser

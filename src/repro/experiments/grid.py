@@ -265,7 +265,7 @@ def _run_truncated(spec: GridSpec, cell: GridCell, tel=NULL, probe=None) -> dict
 
     ps = _instance(spec, cell)
     t0 = time.perf_counter()
-    res, _wt = solve_lid(ps, seed=cell.seed, backend=engine_backend(cell.engine),
+    res, _wt = solve_lid(ps, seed=cell.seed, backend="fast",
                          max_rounds=cell.max_rounds, telemetry=tel, probe=probe)
     trunc = res.truncation
     record: dict = {
@@ -336,8 +336,7 @@ def _run_churn(spec: GridSpec, cell: GridCell, tel=NULL) -> dict:
                         str(cell.b))
         topo = topology_for_family(cell.family, cell.n, rng)
         peers = generate_peers(cell.n, rng, quota_range=(cell.b, cell.b))
-        overlay = DynamicOverlay(topo, peers, PrivateTasteMetric(seed=cell.seed),
-                                 backend=engine_backend(cell.engine))
+        overlay = DynamicOverlay(topo, peers, PrivateTasteMetric(seed=cell.seed))
     t0 = time.perf_counter()
     with tel.span("churn_loop"):
         changes, reused, recomputed = churn_session(overlay, rng, cell.churn,
@@ -372,7 +371,6 @@ def _run_service(spec: GridSpec, cell: GridCell, tel=NULL) -> dict:
         seed=cell.seed,
         events=cell.churn,
         workload=spec.service_workload,
-        backend=engine_backend(cell.engine),
         repair_budget=spec.service_budget,
         differential_every=spec.service_differential_every,
     )

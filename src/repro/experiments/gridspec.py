@@ -36,7 +36,7 @@ expands only the *compatible* subset under the documented rules:
 faults run exclusively on the ``resilient`` engine (and the resilient
 engine only on the ``er`` family, matching the fault campaign's
 instance model), and churn runs exclusively on the churn-consuming
-engines — the incremental-repair ``lic-*`` pipelines and the
+engines — the incremental-repair ``lic-fast`` pipeline and the
 long-lived ``lid-service`` (for which the churn count is the workload
 trace length, so it requires churn > 0).
 """
@@ -79,7 +79,7 @@ LIC_ENGINES = ("lic-reference", "lic-fast")
 #: engines that run the distributed LID protocol
 LID_ENGINES = ("lid-reference", "lid-fast")
 #: engines that consume the churn axis (event-count interpretation)
-CHURN_ENGINES = LIC_ENGINES + ("lid-service",)
+CHURN_ENGINES = ("lic-fast", "lid-service")
 
 #: workloads the lid-service engine accepts (mirrors
 #: ``repro.service.events.WORKLOADS``; kept literal here so spec
@@ -89,17 +89,9 @@ SERVICE_WORKLOADS = ("poisson", "flash", "diurnal", "storm")
 
 
 def engine_backend(engine: str) -> str:
-    """The ``reference``/``fast`` backend behind an engine name."""
-    if engine == "resilient":
-        return "reference"
-    if engine == "lid-service":
-        # the long-lived service defaults to the cached fast pipeline
-        return "fast"
-    if engine == "lid-truncated":
-        # the truncated matching is engine-invariant (the shared
-        # contract of repro.core.truncation), so the grid measures the
-        # quality-vs-k curve on the cheapest engine
-        return "fast"
+    """The ``reference``/``fast`` backend behind a static LIC/LID engine."""
+    if engine not in LIC_ENGINES + LID_ENGINES:
+        raise ValueError(f"engine {engine!r} has no reference/fast backend")
     return engine.split("-", 1)[1]
 
 
@@ -348,9 +340,10 @@ class GridSpec:
 
         Faults run only on the resilient engine; the resilient engine
         runs only on the ``er`` family with no churn; churn runs only on
-        the churn-consuming engines (the incremental ``lic-*`` pipelines
-        and the long-lived ``lid-service``, which reads the churn count
-        as its workload-trace length and therefore *requires* churn).
+        the churn-consuming engines (the incremental ``lic-fast``
+        pipeline and the long-lived ``lid-service``, which reads the
+        churn count as its workload-trace length and therefore
+        *requires* churn).
         The ``max_rounds`` coordinate is set exactly on ``lid-truncated``
         cells (the only engine sweeping the round-budget axis), which
         are static: no churn, no faults.

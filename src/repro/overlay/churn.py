@@ -32,12 +32,10 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backend import resolve_backend_name
 from repro.core.fast import FastInstance, lic_matching_fast
-from repro.core.lic import lic_matching
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceSystem
-from repro.core.weights import WeightTable, satisfaction_weights
+from repro.core.weights import WeightTable
 from repro.overlay.builder import RankedLists, build_preference_system
 from repro.overlay.metrics import MetricAssignment, SuitabilityMetric
 from repro.overlay.peer import Peer
@@ -67,8 +65,7 @@ class RepairStats:
         against a full re-run's ``m log m`` scan in bench A3.
     weights_reused:
         Eq.-9 edge weights taken from the :class:`WeightCache` instead
-        of being recomputed (0 on the reference backend, which rebuilds
-        the whole table).
+        of being recomputed.
     weights_recomputed:
         Eq.-9 edge weights actually recomputed for this event.
     truncated:
@@ -91,7 +88,7 @@ class RepairStats:
 
 
 class WeightCache:
-    """The fast backend's eq.-9 weights, kept in place under churn.
+    """A :class:`DynamicOverlay`'s eq.-9 weights, kept in place under churn.
 
     Keys are external peer-id pairs ``(min_pid, max_pid)`` and values
     the eq.-9 weights of the :class:`~repro.overlay.builder.RankedLists`
@@ -99,8 +96,8 @@ class WeightCache:
     lengths, ranks and clamped quotas) of the joining, leaving or moving
     peer and its neighbours only; every other edge keeps its exact
     weight.  :meth:`refresh` therefore recomputes only the edges
-    incident to the declared weight-dirty peers, a leaver's edges are
-    popped by :meth:`drop`, and nothing else is touched.
+    incident to the peers an event changed, a leaver's edges are popped
+    by :meth:`drop`, and nothing else is touched.
 
     Recomputed values use the scalar arithmetic of
     :func:`repro.core.satisfaction.delta_static` (lower-id side first)
@@ -137,24 +134,24 @@ class WeightCache:
         for q in neighbours:
             self._w.pop((pid, q) if pid < q else (q, pid), None)
 
-    def refresh(self, weight_dirty: "set[int] | frozenset[int]") -> tuple[int, int]:
+    def refresh(self, changed: "set[int] | frozenset[int]") -> tuple[int, int]:
         """Bring the weights up to date in place; returns ``(reused, recomputed)``.
 
-        ``weight_dirty`` holds the peers whose lists may have changed
-        since the previous refresh; every edge touching one of them is
+        ``changed`` holds the peers whose lists may have changed since
+        the previous refresh; every edge touching one of them is
         recomputed and the rest are reused.  An empty store is filled
         whole and reports ``(0, m)``.
         """
         lists, w = self._lists, self._w
         if not w:
-            weight_dirty = lists.peers()
+            changed = lists.peers()
         recomputed = 0
-        for p in weight_dirty:
+        for p in changed:
             if p not in lists:
                 continue
             ell_p, b_p = lists.length(p), lists.quota(p)
             for r_p, q in enumerate(lists.ranked(p)):
-                if q < p and q in weight_dirty:
+                if q < p and q in changed:
                     continue  # recomputed from q's side
                 d_p = (1.0 - r_p / ell_p) / b_p
                 d_q = (1.0 - lists.rank(q, p) / lists.length(q)) / lists.quota(q)
@@ -203,11 +200,11 @@ def greedy_repair(
 
     - **compact** — ``wt`` a :class:`WeightTable`, ``quotas`` a
       sequence, ``matching`` a :class:`Matching` over the same nodes;
-    - **external** — the live state of a fast-backend
-      :class:`DynamicOverlay`: ``wt`` its :class:`WeightCache`,
-      ``quotas`` a callable giving a peer's clamped quota, ``matching``
-      the ``peer_id -> partner set`` dict, and ``dirty`` a set of live
-      peers, extended in place to the region the repair touched.
+    - **external** — the live state of a :class:`DynamicOverlay`:
+      ``wt`` its :class:`WeightCache`, ``quotas`` a callable giving a
+      peer's clamped quota, ``matching`` the ``peer_id -> partner set``
+      dict, and ``dirty`` a set of live peers, extended in place to the
+      region the repair touched.
 
     Candidates sit in a max-heap keyed by the total order ``(w, min,
     max)`` and are re-checked when popped; after a resolution only the
@@ -353,21 +350,20 @@ class DynamicOverlay:
 
         self.matching == LIC(current instance)   # checked in tests
 
+    The instance stays alive between events in external-id space:
+    :class:`~repro.overlay.builder.RankedLists` updated by bisection, a
+    :class:`WeightCache` refreshed in place for the peers an event
+    changed, and :func:`greedy_repair` running on the partner sets
+    directly; full rematches use the array-backed
+    :func:`~repro.core.fast.lic_matching_fast`.  :meth:`instance`
+    compacts the active peers from scratch — the authority the tests
+    and the service's differential checks compare against (see
+    ``docs/performance.md``).
+
     Parameters
     ----------
     topology, peers, metric:
         As for :func:`repro.overlay.builder.build_preference_system`.
-    backend:
-        ``"reference"`` (default) compacts the active peers into a fresh
-        :class:`PreferenceSystem` and eq.-9 weight table on every event.
-        ``"fast"`` keeps the instance alive between events in
-        external-id space: :class:`~repro.overlay.builder.RankedLists`
-        updated by bisection, a :class:`WeightCache` refreshed in place
-        for weight-dirty peers only, and :func:`greedy_repair` running
-        on the partner sets directly; full rematches use the
-        array-backed :func:`~repro.core.fast.lic_matching_fast`.
-        Matchings are identical either way — only the cost differs (see
-        ``docs/performance.md``).
     """
 
     #: resolutions one repair may make before it stops truncated
@@ -379,12 +375,7 @@ class DynamicOverlay:
         topology: Topology,
         peers: list[Peer],
         metric: SuitabilityMetric | MetricAssignment,
-        backend: str = "reference",
     ):
-        self.backend = resolve_backend_name(backend)
-        # external ids whose preference lists changed since the cache
-        # was last refreshed (covers repair=False events)
-        self._weight_dirty: set[int] = set()
         self.metric = metric
         self._peers: dict[int, Peer] = {p.peer_id: p for p in peers}
         if len(self._peers) != len(peers):
@@ -405,12 +396,9 @@ class DynamicOverlay:
         self.full_rematch()
 
     def _init_live_state(self) -> None:
-        """Empty ranked lists and weight store of the fast backend."""
-        self._lists: RankedLists | None = None
-        self._wcache: WeightCache | None = None
-        if self.backend == "fast":
-            self._lists = RankedLists(self.metric, self._peers)
-            self._wcache = WeightCache(self._lists)
+        """Empty ranked lists and weight store over the live peers."""
+        self._lists = RankedLists(self.metric, self._peers)
+        self._wcache = WeightCache(self._lists)
 
     # -- id space ---------------------------------------------------------
 
@@ -436,13 +424,10 @@ class DynamicOverlay:
     def _solve_instance(self) -> tuple[PreferenceSystem, list[int]]:
         """The compact instance a full re-solve starts from.
 
-        The fast backend re-scores every ranked list from the metric —
-        a full re-solve trusts no incremental state — and compacts the
-        fresh lists, so each directed pair is scored once.
+        Every ranked list is re-scored from the metric — a full re-solve
+        trusts no incremental state — and the fresh lists are compacted,
+        so each directed pair is scored once.
         """
-        if self._lists is None:
-            ps, ids, _ = self._compact_instance()
-            return ps, ids
         self._lists.rank_all(self._adj)
         ids = self.active_ids()
         index = {pid: k for k, pid in enumerate(ids)}
@@ -489,50 +474,34 @@ class DynamicOverlay:
     def full_rematch(self) -> None:
         """Recompute the matching from scratch (the baseline A3 compares to)."""
         ps, ids = self._solve_instance()
-        if self._wcache is None:
-            matching = lic_matching(satisfaction_weights(ps), ps.quotas)
-        else:
-            fi = FastInstance.from_preference_system(ps)
-            matching = lic_matching_fast(fi)
-            self._wcache.seed(fi, ids)
-            self._weight_dirty.clear()
+        fi = FastInstance.from_preference_system(ps)
+        matching = lic_matching_fast(fi)
+        self._wcache.seed(fi, ids)
         self._store_matching(matching, ids)
 
-    def leave(self, peer_id: int, repair: bool = True) -> RepairStats:
-        """Remove a peer; incrementally repair unless ``repair=False``.
+    def leave(self, peer_id: int) -> RepairStats:
+        """Remove a peer and repair incrementally.
 
-        The dirty region seeds with the leaver's former partners and all
-        its overlay neighbours (whose preference-list lengths — hence
-        eq.-9 weights — changed).
+        The leaver's overlay neighbours — its former partners among
+        them — lost a list entry, so their eq.-9 weights changed; the
+        repair starts from them.
         """
         if peer_id not in self._peers:
             raise KeyError(f"unknown peer {peer_id}")
         neighbours = set(self._adj[peer_id])
-        if self._lists is not None:
-            self._wcache.drop(peer_id, neighbours)
-            self._lists.leave(peer_id)
+        self._wcache.drop(peer_id, neighbours)
+        self._lists.leave(peer_id)
         del self._peers[peer_id]
         for q in neighbours:
             self._adj[q].discard(peer_id)
         del self._adj[peer_id]
         for q in self._partners.pop(peer_id, set()):
             self._partners[q].discard(peer_id)
-        # the neighbours' preference lists shrank: their eq.-9 weights are
-        # stale even if this event is repaired later (repair=False)
-        self._weight_dirty |= neighbours
-        self._weight_dirty.discard(peer_id)
         if not self._peers:
             return RepairStats()
-        if not repair:
-            return RepairStats()
-        return self._repair(dirty_external=neighbours)
+        return self._repair(neighbours)
 
-    def join(
-        self,
-        peer: Peer,
-        neighbours: Iterable[int],
-        repair: bool = True,
-    ) -> tuple[int, RepairStats]:
+    def join(self, peer: Peer, neighbours: Iterable[int]) -> tuple[int, RepairStats]:
         """Add a peer knowing ``neighbours``; returns ``(peer_id, stats)``.
 
         The input is checked before any state changes: an unknown
@@ -554,58 +523,39 @@ class DynamicOverlay:
         for q in neigh:
             self._adj[q].add(pid)
         self._partners[pid] = set()
-        if self._lists is not None:
-            self._lists.join(pid, neigh)
+        self._lists.join(pid, neigh)
         # the joiner and its neighbours gained a list entry
-        self._weight_dirty |= neigh
-        self._weight_dirty.add(pid)
-        if not repair:
-            return pid, RepairStats()
-        return pid, self._repair(dirty_external=neigh | {pid})
+        return pid, self._repair(neigh | {pid})
 
-    def _repair(self, dirty_external: "set[int] | Iterable[int]") -> RepairStats:
+    def _repair(self, changed: set[int]) -> RepairStats:
         """Repair the region an event touched; the one repair path.
 
-        A churn event changes the preference-list lengths of the nodes
-        in ``dirty_external``, which rescales *all* their eq.-9 edge
-        weights.  An edge (y, z) can change blocking status whenever y
-        or z has a (possibly matched) edge whose weight changed, so the
-        seed includes one hop of neighbours around the changed nodes;
-        the repair wave extends it further as it drops partners.
+        A churn event changes the preference lists of the peers in
+        ``changed``, which rescales *all* their eq.-9 edge weights, so
+        the cache recomputes exactly those peers' edges.  An edge (y, z)
+        can change blocking status whenever y or z has a (possibly
+        matched) edge whose weight changed, so the seed includes one hop
+        of neighbours around the changed peers; the repair wave extends
+        it further as it drops partners.
         """
         if self._full_resolve_due():
             self.full_rematch()
             return self._account(RepairStats(), full=True)
-        seed = set(dirty_external)
-        for pid in dirty_external:
+        seed = set(changed)
+        for pid in changed:
             seed.update(self._adj.get(pid, ()))
-        if self._wcache is None:
-            ps, ids, index = self._compact_instance()
-            self._weight_dirty.clear()
-            matching = self._matching_compact(index)
-            stats = greedy_repair(
-                satisfaction_weights(ps),
-                list(ps.quotas),
-                matching,
-                {index[pid] for pid in seed if pid in index},
-                budget=self.repair_budget,
-            )
-            matching.validate(ps)
-            self._store_matching(matching, ids)
-        else:
-            reused, recomputed = self._wcache.refresh(self._weight_dirty)
-            self._weight_dirty.clear()
-            region = {pid for pid in seed if pid in self._peers}
-            stats = greedy_repair(
-                self._wcache,
-                self._lists.quota,
-                self._partners,
-                region,
-                budget=self.repair_budget,
-            )
-            stats.weights_reused = reused
-            stats.weights_recomputed = recomputed
-            self._check_region(region)
+        reused, recomputed = self._wcache.refresh(changed)
+        region = {pid for pid in seed if pid in self._peers}
+        stats = greedy_repair(
+            self._wcache,
+            self._lists.quota,
+            self._partners,
+            region,
+            budget=self.repair_budget,
+        )
+        stats.weights_reused = reused
+        stats.weights_recomputed = recomputed
+        self._check_region(region)
         return self._account(stats, full=False)
 
     def _check_region(self, region: set[int]) -> None:

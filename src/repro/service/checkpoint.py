@@ -5,7 +5,7 @@ Format: one JSON file per snapshot, ``checkpoint-<seq:08d>.json``, where
 self-describing::
 
     {
-      "version": 1,
+      "version": 2,
       "seq": 120,
       "fingerprint": "ab12…",      # WorkloadTrace.fingerprint()
       "state": { … },              # MatchingService.snapshot()
@@ -43,7 +43,7 @@ __all__ = [
     "write_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _NAME_RE = re.compile(r"^checkpoint-(\d{8})\.json$")
 

@@ -62,7 +62,7 @@ class DifferentialReport:
         return self.truncation_debt > 0
 
 
-def conformance_check(service, backend: str = "fast") -> DifferentialReport:
+def conformance_check(service) -> DifferentialReport:
     """Check a service's served state against a from-scratch solve.
 
     Expensive (full weight rebuild + full LID solve) — callers sample
@@ -80,7 +80,7 @@ def conformance_check(service, backend: str = "fast") -> DifferentialReport:
     report.blocking_edges = len(
         weighted_blocking_edges(wt, list(ps.quotas), matching)
     )
-    fresh, _ = solve_lid(ps, backend=backend)
+    fresh, _ = solve_lid(ps, backend="fast")
     served = matching.edge_set()
     authority = fresh.matching.edge_set()
     report.missing_edges = len(authority - served)

@@ -109,16 +109,12 @@ class ServiceGuard:
         its two endpoints' neighbourhoods, independent of both the
         ranked lists and the weight dict, so it also catches a cache
         whose entries survived a preference change they should not have
-        and a stale list.  A no-op on the reference backend (no cache).
+        and a stale list.
         """
-        if self.weight_sample == 0 or service._wcache is None:
+        if self.weight_sample == 0:
             return
         cached = service._wcache._w
         if not cached:
-            return
-        if service._weight_dirty:
-            # weights incident to dirty peers are *expected* stale until
-            # the next refresh; skip the pass rather than false-alarm
             return
         peers, adj = service._peers, service._adj
         score = peer_scorer(service.metric)

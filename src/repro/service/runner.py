@@ -60,7 +60,6 @@ class ServiceConfig:
     seed: int = 0
     events: int = 200
     workload: str = "poisson"
-    backend: str = "fast"
     blend: float = 0.5
     repair_budget: Optional[int] = None
     on_budget: str = "resolve"
@@ -126,7 +125,6 @@ def build_service(config: ServiceConfig) -> MatchingService:
         topology,
         peers,
         config.metric(),
-        backend=config.backend,
         repair_budget=config.repair_budget,
         on_budget=config.on_budget,
         weight_check_every=config.weight_check_every,

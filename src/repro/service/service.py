@@ -26,9 +26,9 @@ into something deployable:
   mode.  A violation that survives the full re-solve is
   unrecoverable and raises :class:`ServiceCorruption`;
 - **snapshots** — :meth:`snapshot` / :meth:`restore` round-trip the
-  entire mutable state (peers, adjacency, partners, weight cache, dirty
-  set, counters, ladder position) through plain JSON types, exactly;
-  the ranked lists are derived state, re-scored by :meth:`restore`.
+  entire mutable state (peers, adjacency, partners, weight cache,
+  counters, ladder position) through plain JSON types, exactly; the
+  ranked lists are derived state, re-scored by :meth:`restore`.
   :mod:`repro.service.checkpoint` wraps them in versioned atomic files.
 """
 
@@ -123,7 +123,6 @@ class MatchingService(DynamicOverlay):
         topology,
         peers: list[Peer],
         metric,
-        backend: str = "fast",
         repair_budget: Optional[int] = None,
         on_budget: str = "resolve",
         weight_check_every: int = 8,
@@ -131,6 +130,30 @@ class MatchingService(DynamicOverlay):
         guard: Optional[ServiceGuard] = None,
         warmstart_rounds: Optional[int] = None,
     ):
+        self._configure(
+            repair_budget,
+            on_budget,
+            weight_check_every,
+            degraded_recovery,
+            guard,
+            warmstart_rounds,
+        )
+        self.mode = "incremental"
+        self._cooldown = 0
+        self.truncated_since_sync = 0
+        self.counters: dict[str, int] = {k: 0 for k in COUNTERS}
+        super().__init__(topology, peers, metric)
+
+    def _configure(
+        self,
+        repair_budget: Optional[int],
+        on_budget: str,
+        weight_check_every: int,
+        degraded_recovery: int,
+        guard: Optional[ServiceGuard],
+        warmstart_rounds: Optional[int],
+    ) -> None:
+        """Validate and set the policy knobs; :meth:`restore` shares it."""
         if on_budget not in ("resolve", "defer"):
             raise ValueError(
                 f"on_budget must be 'resolve' or 'defer', got {on_budget!r}"
@@ -155,11 +178,6 @@ class MatchingService(DynamicOverlay):
         #: it never affects the served state)
         self.last_warmstart: Optional[RepairStats] = None
         self.guard = guard if guard is not None else ServiceGuard()
-        self.mode = "incremental"
-        self._cooldown = 0
-        self.truncated_since_sync = 0
-        self.counters: dict[str, int] = {k: 0 for k in COUNTERS}
-        super().__init__(topology, peers, metric, backend=backend)
 
     # -- repair --------------------------------------------------------
 
@@ -187,9 +205,7 @@ class MatchingService(DynamicOverlay):
         self.last_warmstart = greedy_repair(
             fi.weight_table(), list(ps.quotas), matching, range(ps.n)
         )
-        if self._wcache is not None:
-            self._wcache.seed(fi, ids)
-            self._weight_dirty.clear()
+        self._wcache.seed(fi, ids)
         self._store_matching(matching, ids)
 
     def _full_resolve_due(self) -> bool:
@@ -216,9 +232,7 @@ class MatchingService(DynamicOverlay):
 
     # -- churn beyond join/leave ---------------------------------------
 
-    def update_position(
-        self, peer_id: int, position, repair: bool = True
-    ) -> RepairStats:
+    def update_position(self, peer_id: int, position) -> RepairStats:
         """Move a peer; its whole neighbourhood re-ranks.
 
         A position change re-scores ``peer_id`` in every neighbour's
@@ -238,22 +252,17 @@ class MatchingService(DynamicOverlay):
                 f" peer {peer_id}'s {peer.position.shape}"
             )
         peer.position = new
-        if self._lists is not None:
-            self._lists.rescore(peer_id)
-        dirty = {peer_id} | self._adj[peer_id]
-        self._weight_dirty |= dirty
-        if not repair:
-            return RepairStats()
-        return self._repair(dirty_external=dirty)
+        self._lists.rescore(peer_id)
+        return self._repair({peer_id} | self._adj[peer_id])
 
-    def crash(self, peer_id: int, repair: bool = True) -> RepairStats:
+    def crash(self, peer_id: int) -> RepairStats:
         """An ungraceful departure.
 
         The state transition is identical to :meth:`leave` — the
         overlay only ever observes absence — but callers account for it
         separately (see the ``crashes`` counter).
         """
-        return self.leave(peer_id, repair=repair)
+        return self.leave(peer_id)
 
     # -- event application ---------------------------------------------
 
@@ -331,11 +340,9 @@ class MatchingService(DynamicOverlay):
             self.counters["degraded_entries"] += 1
         self.mode = "degraded"
         self._cooldown = self.degraded_recovery
-        if self._wcache is not None:
-            # the cache is a suspect in any corruption: rebuild it from
-            # scratch along with the matching (which re-scores the lists)
-            self._wcache.clear()
-            self._weight_dirty.clear()
+        # the cache is a suspect in any corruption: rebuild it from
+        # scratch along with the matching (which re-scores the lists)
+        self._wcache.clear()
         self.full_rematch()
         self.counters["full_resolves"] += 1
         recheck = GuardReport()
@@ -356,7 +363,6 @@ class MatchingService(DynamicOverlay):
         restored service is *bit*-identical, not approximately equal.
         """
         return {
-            "backend": self.backend,
             "next_id": self._next_id,
             "mode": self.mode,
             "cooldown": self._cooldown,
@@ -380,14 +386,7 @@ class MatchingService(DynamicOverlay):
             "partners": {
                 str(pid): sorted(v) for pid, v in sorted(self._partners.items())
             },
-            "weight_dirty": sorted(self._weight_dirty),
-            "weights": (
-                None
-                if self._wcache is None
-                else [
-                    [a, b, w] for (a, b), w in sorted(self._wcache._w.items())
-                ]
-            ),
+            "weights": [[a, b, w] for (a, b), w in sorted(self._wcache._w.items())],
         }
 
     @classmethod
@@ -409,14 +408,14 @@ class MatchingService(DynamicOverlay):
         the service config seed), exactly as at first construction.
         """
         svc = cls.__new__(cls)
-        svc.backend = str(state["backend"])
-        svc.repair_budget = repair_budget
-        svc.on_budget = on_budget
-        svc.weight_check_every = weight_check_every
-        svc.degraded_recovery = degraded_recovery
-        svc.warmstart_rounds = validate_max_rounds(warmstart_rounds)
-        svc.last_warmstart = None
-        svc.guard = guard if guard is not None else ServiceGuard()
+        svc._configure(
+            repair_budget,
+            on_budget,
+            weight_check_every,
+            degraded_recovery,
+            guard,
+            warmstart_rounds,
+        )
         svc.guard._weight_cursor = int(state["guard_cursor"])
         svc.mode = str(state["mode"])
         if svc.mode not in MODES:
@@ -444,13 +443,11 @@ class MatchingService(DynamicOverlay):
             int(pid): {int(q) for q in qs}
             for pid, qs in state["partners"].items()
         }
-        svc._weight_dirty = {int(pid) for pid in state["weight_dirty"]}
         svc._next_id = int(state["next_id"])
         svc._init_live_state()
-        if svc._wcache is not None:
-            # the ranked lists are derived state: re-score them
-            svc._lists.rank_all(svc._adj)
-            svc._wcache._w = {
-                (int(a), int(b)): float(w) for a, b, w in state["weights"]
-            }
+        # the ranked lists are derived state: re-score them
+        svc._lists.rank_all(svc._adj)
+        svc._wcache._w = {
+            (int(a), int(b)): float(w) for a, b, w in state["weights"]
+        }
         return svc

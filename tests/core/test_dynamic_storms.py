@@ -6,10 +6,10 @@ Two storm subjects, one property each:
   protocol must still quiesce to the centralised LIC matching of the
   surviving overlay (checked differentially every 10th event and at the
   end of the session);
-- :class:`DynamicOverlay` on the fast backend — the
-  :class:`WeightCache` must keep *reusing* eq.-9 weights across storm
-  events (the whole point of incremental repair), while the maintained
-  matching stays equal to a from-scratch solve.
+- :class:`DynamicOverlay` — the :class:`WeightCache` must keep
+  *reusing* eq.-9 weights across storm events (the whole point of
+  incremental repair), while the maintained matching stays equal to a
+  from-scratch solve.
 """
 
 import numpy as np
@@ -107,7 +107,7 @@ class TestOverlayCacheStorms:
         sc = build_scenario("geo_latency", 40, seed=11)
         from repro.overlay.churn import DynamicOverlay
 
-        dyn = DynamicOverlay(sc.topology, sc.peers, sc.metric, backend="fast")
+        dyn = DynamicOverlay(sc.topology, sc.peers, sc.metric)
         rng = np.random.default_rng(11)
         reused = recomputed = events = 0
         for storm in range(8):
@@ -136,14 +136,3 @@ class TestOverlayCacheStorms:
         assert reused + recomputed > 0
         frac = reused / (reused + recomputed)
         assert frac >= 0.4, f"cache reuse fraction {frac:.2f} below 0.4"
-
-    def test_reference_backend_never_reuses(self):
-        sc = build_scenario("geo_latency", 16, seed=2)
-        from repro.overlay.churn import DynamicOverlay
-
-        dyn = DynamicOverlay(
-            sc.topology, sc.peers, sc.metric, backend="reference"
-        )
-        stats = dyn.leave(dyn.active_ids()[0])
-        assert stats.weights_reused == 0
-        _assert_overlay_at_fixpoint(dyn)

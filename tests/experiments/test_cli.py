@@ -48,7 +48,8 @@ class TestBackendFlag:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "geo_latency", "--backend", "gpu"])
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["churn", "--backend", "gpu"])
+            # churn has one path, so it takes no backend at all
+            build_parser().parse_args(["churn", "--backend", "fast"])
 
     def test_compare_fast_backend(self, capsys):
         assert main(["compare", "geo_latency", "--n", "20",
@@ -70,14 +71,9 @@ class TestBackendFlag:
         assert lic_row(ref_out, "LIC[reference]") == lic_row(fast_out, "LIC[fast]")
 
     def test_churn_fast_backend_reports_cache(self, capsys):
-        assert main(["churn", "--n", "25", "--events", "6",
-                     "--backend", "fast"]) == 0
+        assert main(["churn", "--n", "25", "--events", "6"]) == 0
         out = capsys.readouterr().out
         assert "weight cache" in out and "% reuse" in out
-
-    def test_churn_reference_backend_no_cache_line(self, capsys):
-        assert main(["churn", "--n", "25", "--events", "6"]) == 0
-        assert "weight cache" not in capsys.readouterr().out
 
 
 def test_module_entry_point():

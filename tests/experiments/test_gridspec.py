@@ -16,7 +16,7 @@ from repro.experiments.gridspec import (
 def tiny_spec(**overrides) -> GridSpec:
     base = dict(
         name="tiny",
-        engines=("lic-reference", "lid-fast", "resilient"),
+        engines=("lic-fast", "lid-fast", "resilient"),
         families=("er", "ba"),
         sizes=(12,),
         quotas=(2,),
@@ -86,7 +86,9 @@ class TestExpansion:
     def test_engine_backend(self):
         assert engine_backend("lic-fast") == "fast"
         assert engine_backend("lid-reference") == "reference"
-        assert engine_backend("resilient") == "reference"
+        for engine in ("resilient", "lid-service", "lid-truncated"):
+            with pytest.raises(ValueError, match="no reference/fast backend"):
+                engine_backend(engine)
 
 
 class TestValidation:
@@ -181,9 +183,6 @@ class TestTomlAndProfiles:
 
 
 class TestServiceEngine:
-    def test_backend_is_fast(self):
-        assert engine_backend("lid-service") == "fast"
-
     def test_service_cells_require_churn(self):
         spec = tiny_spec(engines=("lid-service",), faults=("none",))
         cells = spec.cells()

@@ -12,9 +12,9 @@ from repro.overlay.peer import Peer
 from repro.overlay.scenario import build_scenario
 
 
-def _dyn(n=24, seed=3, metric=None, backend="reference"):
+def _dyn(n=24, seed=3, metric=None):
     sc = build_scenario("geo_latency", n, seed=seed)
-    return DynamicOverlay(sc.topology, sc.peers, metric or sc.metric, backend=backend)
+    return DynamicOverlay(sc.topology, sc.peers, metric or sc.metric)
 
 
 def _cached_table(cache: WeightCache, ids: list[int]) -> WeightTable:
@@ -143,42 +143,10 @@ class TestDynamicOverlay:
 
 
 class TestFastBackend:
-    """backend="fast" must be an invisible engine swap for churn."""
-
-    def test_backend_validation(self):
-        sc = build_scenario("geo_latency", 10, seed=0)
-        with pytest.raises(ValueError, match="unknown backend"):
-            DynamicOverlay(sc.topology, sc.peers, sc.metric, backend="bogus")
-
-    def test_initial_state_matches_reference(self):
-        ref = _dyn(n=24, seed=3)
-        fast = _dyn(n=24, seed=3, backend="fast")
-        for pid in ref.active_ids():
-            assert ref.partners(pid) == fast.partners(pid)
-
-    def test_identical_trajectories_under_churn(self):
-        ref = _dyn(n=24, seed=3)
-        fast = _dyn(n=24, seed=3, backend="fast")
-        rng_ref = np.random.default_rng(11)
-        rng_fast = np.random.default_rng(11)
-        for _ in range(12):
-            for dyn, rng in ((ref, rng_ref), (fast, rng_fast)):
-                if rng.random() < 0.5 and dyn.n > 8:
-                    dyn.leave(int(rng.choice(dyn.active_ids())))
-                else:
-                    ids = dyn.active_ids()
-                    neigh = [int(x) for x in
-                             rng.choice(ids, size=min(4, len(ids)), replace=False)]
-                    dyn.join(
-                        Peer(peer_id=-1, position=rng.uniform(0, 1, 2), quota=2),
-                        neigh,
-                    )
-            assert set(ref.active_ids()) == set(fast.active_ids())
-            for pid in ref.active_ids():
-                assert ref.partners(pid) == fast.partners(pid)
+    """The persistent instance's weight cache under churn."""
 
     def test_fast_stays_greedy_fixpoint(self):
-        dyn = _dyn(n=20, seed=7, backend="fast")
+        dyn = _dyn(n=20, seed=7)
         rng = np.random.default_rng(13)
         for _ in range(6):
             if rng.random() < 0.5 and dyn.n > 6:
@@ -192,20 +160,15 @@ class TestFastBackend:
             _assert_is_greedy_fixpoint(dyn)
 
     def test_cache_stats_reported(self):
-        dyn = _dyn(n=30, seed=5, backend="fast")
+        dyn = _dyn(n=30, seed=5)
         rng = np.random.default_rng(17)
         stats = dyn.leave(int(rng.choice(dyn.active_ids())))
         assert stats.weights_reused > 0  # most edges untouched by one leave
         assert stats.weights_reused + stats.weights_recomputed == dyn.instance()[0].m
 
-    def test_reference_backend_reports_no_reuse(self):
-        dyn = _dyn(n=20, seed=5)
-        stats = dyn.leave(dyn.active_ids()[0])
-        assert stats.weights_reused == 0 and stats.weights_recomputed == 0
-
     def test_cache_refresh_matches_reference_weights(self):
         """After any churn the cached table must equal a fresh eq.-9 build."""
-        dyn = _dyn(n=25, seed=9, backend="fast")
+        dyn = _dyn(n=25, seed=9)
         rng = np.random.default_rng(19)
         for _ in range(4):
             dyn.leave(int(rng.choice(dyn.active_ids())))
@@ -215,27 +178,11 @@ class TestFastBackend:
         for i, j in ps.edges():
             assert cached_wt.weight(i, j) == fresh.weight(i, j)  # bit-identical
 
-    def test_unrepaired_events_mark_weights_dirty(self):
-        """repair=False leaves stale weights; the next repair must not
-        serve them from the cache."""
-        dyn = _dyn(n=22, seed=6, backend="fast")
-        rng = np.random.default_rng(23)
-        dyn.leave(int(rng.choice(dyn.active_ids())), repair=False)
-        ids = dyn.active_ids()
-        neigh = [int(x) for x in rng.choice(ids, size=3, replace=False)]
-        dyn.join(Peer(peer_id=-1, position=rng.uniform(0, 1, 2), quota=2), neigh)
-        _assert_is_greedy_fixpoint(dyn)
-        ps, _ = dyn.instance()
-        cached_wt = _cached_table(dyn._wcache, dyn.active_ids())
-        fresh = satisfaction_weights(ps)
-        for i, j in ps.edges():
-            assert cached_wt.weight(i, j) == fresh.weight(i, j)
-
 
 class TestWeightCache:
     @staticmethod
     def _lists():
-        dyn = _dyn(n=15, seed=2, backend="fast")  # a ranked-list supplier
+        dyn = _dyn(n=15, seed=2)  # a ranked-list supplier
         ps, ids, _ = dyn._compact_instance()
         return dyn._lists, ps, ids
 
@@ -382,7 +329,7 @@ class TestOverlayChurnEdgeCases:
         assert stats.resolutions == 0
 
     def test_rebuild_after_drain_reaches_fixpoint(self):
-        dyn = _dyn(n=6, seed=7, backend="fast")
+        dyn = _dyn(n=6, seed=7)
         for pid in list(dyn.active_ids()):
             dyn.leave(pid)
         first, _ = dyn.join(Peer(peer_id=-1, position=(0.2, 0.2)), [])

@@ -11,7 +11,7 @@ from repro.service.checkpoint import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.service.runner import ServiceConfig, kill_and_resume_check
+from repro.service.runner import ServiceConfig, build_service, kill_and_resume_check
 
 
 class TestCheckpointFiles:
@@ -45,13 +45,33 @@ class TestCheckpointFiles:
         good = write_checkpoint(tmp_path, 3, "fp", {})
         assert latest_checkpoint(tmp_path) == good
 
+    def test_snapshot_schema_is_pinned(self):
+        # the checkpointed state's keys are the file format: a change to
+        # them must bump CHECKPOINT_VERSION so older files are refused
+        svc = build_service(ServiceConfig(n=12, events=0))
+        assert sorted(svc.snapshot()) == [
+            "adjacency",
+            "cooldown",
+            "counters",
+            "guard_cursor",
+            "mode",
+            "next_id",
+            "partners",
+            "peers",
+            "truncated_since_sync",
+            "weights",
+        ]
+        assert CHECKPOINT_VERSION == 2
+
     def test_load_rejects_version_mismatch(self, tmp_path):
-        path = write_checkpoint(tmp_path, 0, "fp", {"x": 1})
-        payload = json.loads(path.read_text())
-        payload["version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(path)
+        # 1 is the format whose state still carried backend/weight_dirty
+        for version in (1, 99):
+            path = write_checkpoint(tmp_path, 0, "fp", {"x": 1})
+            payload = json.loads(path.read_text())
+            payload["version"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(CheckpointError, match="version"):
+                load_checkpoint(path)
 
     def test_load_rejects_fingerprint_mismatch(self, tmp_path):
         path = write_checkpoint(tmp_path, 0, "trace-a", {"x": 1})

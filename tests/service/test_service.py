@@ -6,6 +6,7 @@ corruption), and exact snapshot/restore round-trips.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -189,3 +190,28 @@ class TestSnapshotRestore:
         state["mode"] = "zombie"
         with pytest.raises(ValueError, match="unknown mode"):
             MatchingService.restore(state, _small().metric())
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            dict(on_budget="panic"),
+            dict(weight_check_every=0),
+            dict(repair_budget=-1),
+            dict(degraded_recovery=0),
+        ],
+        ids=lambda policy: "-".join(f"{k}={v}" for k, v in policy.items()),
+    )
+    def test_restore_validates_policy(self, policy):
+        # restore checks its knobs exactly as construction does
+        state = build_service(_small(events=0)).snapshot()
+        (knob,) = policy
+        with pytest.raises(ValueError, match=knob):
+            MatchingService.restore(state, _small().metric(), **policy)
+
+    def test_resume_validates_policy(self, tmp_path):
+        config = _small(events=10)
+        run_service(config, checkpoint_dir=tmp_path, kill_after=5)
+        with pytest.raises(ValueError, match="on_budget"):
+            run_service(
+                replace(config, on_budget="panic"), checkpoint_dir=tmp_path, resume=True
+            )
