@@ -674,8 +674,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, default=25,
                    help="snapshot cadence in events")
     p.add_argument("--resume", action="store_true",
-                   help="restore from the newest intact checkpoint in"
-                        " --checkpoint DIR and replay the remaining events")
+                   help="restore from this run's newest intact checkpoint"
+                        " in --checkpoint DIR (same trace and settings; the"
+                        " cadences may differ) and replay the remaining events")
     p.add_argument("--kill-after", type=int, default=None, metavar="K",
                    help="stop abruptly after K events with no final"
                         " snapshot (simulates a crash; resume with"

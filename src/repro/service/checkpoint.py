@@ -5,24 +5,32 @@ Format: one JSON file per snapshot, ``checkpoint-<seq:08d>.json``, where
 self-describing::
 
     {
-      "version": 2,
+      "fingerprint": "ab12…",      # pins the run that wrote it
       "seq": 120,
-      "fingerprint": "ab12…",      # WorkloadTrace.fingerprint()
       "state": { … },              # MatchingService.snapshot()
-      "state_hash": "…64 hex…"     # sha256 of canonical state JSON
+      "state_hash": "…64 hex…",    # sha256 of the state's bytes
+      "version": 2
     }
+
+The state is stored in canonical compact form,
+``json.dumps(state, sort_keys=True, separators=(",", ":"))``, and
+``state_hash`` covers exactly those bytes: the writer encodes the state
+once, hashes the encoding and writes it verbatim.  The loader
+re-serialises the parsed state canonically before it checks the hash,
+so a state stored in any other JSON layout (older writers used a
+spaced ``json.dumps(payload, sort_keys=True)``) verifies all the same.
 
 Crash consistency comes from the classic write-to-temp + ``os.replace``
 dance (the same idiom as :func:`repro.telemetry.sink.write_jsonl` and
 the grid store): a checkpoint either exists completely or not at all as
 far as any reader is concerned.  A process killed mid-write leaves at
 worst a ``.tmp`` turd that :func:`latest_checkpoint` ignores; a file
-truncated by the filesystem (torn write on a crashed host) fails JSON
-parsing or the hash check and is likewise skipped, falling back to the
-previous intact checkpoint.
+torn or garbled by the filesystem (a crashed host) fails UTF-8
+decoding, JSON parsing or the hash check and is likewise skipped,
+falling back to the previous intact checkpoint.
 
-Restores are paranoid: the version must match, the trace fingerprint
-must match (a service can never resume one trace and silently replay a
+Restores are paranoid: the version must match, the fingerprint must
+match (a service can never resume one run and silently replay a
 different one), and the state hash must match the re-serialised state.
 """
 
@@ -49,12 +57,15 @@ _NAME_RE = re.compile(r"^checkpoint-(\d{8})\.json$")
 
 
 class CheckpointError(RuntimeError):
-    """A checkpoint exists but cannot be used (version/trace mismatch)."""
+    """A checkpoint exists but cannot be used (corrupt, or a mismatch)."""
+
+
+def _canonical(state: dict) -> str:
+    return json.dumps(state, sort_keys=True, separators=(",", ":"))
 
 
 def _state_hash(state: dict) -> str:
-    canon = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(state).encode("utf-8")).hexdigest()
 
 
 def write_checkpoint(
@@ -66,9 +77,10 @@ def write_checkpoint(
 ) -> Path:
     """Atomically persist one snapshot; returns the final path.
 
-    Retains the newest ``keep`` checkpoints and prunes older ones (a
-    resume only ever needs the latest intact file; the margin covers a
-    torn write of the newest).
+    Keeps this checkpoint and the newest ``keep - 1`` older ones and
+    prunes the other older ones (a resume only ever needs the latest
+    intact file; the margin covers a torn write of the newest).  Newer
+    checkpoints, left behind by an earlier and longer run, stay.
     """
     if seq < 0:
         raise ValueError(f"seq must be >= 0, got {seq}")
@@ -76,18 +88,20 @@ def write_checkpoint(
         raise ValueError(f"keep must be >= 1, got {keep}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "seq": seq,
-        "fingerprint": fingerprint,
-        "state": state,
-        "state_hash": _state_hash(state),
-    }
+    canon = _canonical(state)
+    digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()
     final = directory / f"checkpoint-{seq:08d}.json"
     tmp = final.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    # the envelope json.dumps(payload, sort_keys=True) would write, with
+    # the hashed text in place of a second encoding of the state
+    tmp.write_text(
+        f'{{"fingerprint": {json.dumps(fingerprint)}, "seq": {json.dumps(seq)},'
+        f' "state": {canon}, "state_hash": "{digest}", "version": {CHECKPOINT_VERSION}}}',
+        encoding="utf-8",
+    )
     os.replace(tmp, final)
-    for stale in _checkpoint_files(directory)[:-keep]:
+    older = [p for p in _checkpoint_files(directory) if p.name < final.name]
+    for stale in older[::-1][keep - 1 :]:
         try:
             stale.unlink()
         except OSError:  # pragma: no cover - concurrent pruning race
@@ -104,18 +118,34 @@ def _checkpoint_files(directory: Path) -> list[Path]:
     return sorted(out)
 
 
-def latest_checkpoint(directory: "str | Path") -> Optional[Path]:
+def _read(path: Path) -> dict:
+    """The parsed envelope of one file; :class:`CheckpointError` if none."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"unreadable checkpoint {path}: not a JSON object")
+    return payload
+
+
+def latest_checkpoint(
+    directory: "str | Path", fingerprint: Optional[str] = None
+) -> Optional[Path]:
     """Newest checkpoint that parses and passes its hash; else ``None``.
 
     Torn or corrupt files are skipped, not fatal — that is the whole
-    point of keeping more than one.
+    point of keeping more than one.  With ``fingerprint`` given, files
+    that pin another run are skipped too.
     """
     for path in reversed(_checkpoint_files(Path(directory))):
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            payload = _read(path)
+        except CheckpointError:
             continue
-        if not isinstance(payload, dict) or "state" not in payload:
+        if "state" not in payload:
+            continue
+        if fingerprint is not None and payload.get("fingerprint") != fingerprint:
             continue
         if payload.get("state_hash") != _state_hash(payload["state"]):
             continue
@@ -127,14 +157,11 @@ def load_checkpoint(path: "str | Path", fingerprint: Optional[str] = None) -> di
     """Load and verify one checkpoint file.
 
     Returns the full payload dict.  Raises :class:`CheckpointError` on
-    version mismatch, hash mismatch, or (when ``fingerprint`` is given)
-    a trace-fingerprint mismatch.
+    an unreadable file, version mismatch, hash mismatch, or (when
+    ``fingerprint`` is given) a fingerprint mismatch.
     """
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+    payload = _read(path)
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from time import perf_counter
 from typing import Optional
@@ -37,7 +37,7 @@ from repro.service.checkpoint import (
 )
 from repro.service.differential import DifferentialReport, conformance_check
 from repro.service.events import WorkloadTrace, make_trace
-from repro.service.service import MatchingService
+from repro.service.service import MatchingService, validate_policy
 from repro.telemetry.sink import canonical_fields
 from repro.utils.rng import spawn_rng
 
@@ -80,6 +80,12 @@ class ServiceConfig:
             )
         if self.events < 0:
             raise ValueError(f"events must be >= 0, got {self.events}")
+        validate_policy(
+            self.repair_budget,
+            self.on_budget,
+            self.weight_check_every,
+            self.degraded_recovery,
+        )
         if self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
@@ -103,6 +109,24 @@ class ServiceConfig:
         if self.blend >= 1.0:
             return PrivateTasteMetric(self.seed, blend=1.0)
         return PrivateTasteMetric(self.seed, base=DistanceMetric(), blend=self.blend)
+
+
+#: the config fields that never change the served state, so they stay
+#: out of the checkpoint fingerprint: a resume may change either
+_CADENCE_FIELDS = ("checkpoint_every", "differential_every")
+
+
+def _run_fingerprint(config: ServiceConfig, trace_fingerprint: str) -> str:
+    """12-hex digest pinning a run's checkpoints to that run.
+
+    It covers the trace plus every config field that shapes the served
+    state.  Configs that share a trace but differ in ``n``, ``quota``,
+    ``family``, ``blend`` or repair policy therefore never restore each
+    other's checkpoints.
+    """
+    pinned = {k: v for k, v in asdict(config).items() if k not in _CADENCE_FIELDS}
+    canon = json.dumps([trace_fingerprint, pinned], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass
@@ -160,9 +184,11 @@ def run_service(
         When given, write an initial snapshot plus one every
         ``config.checkpoint_every`` events (atomic, versioned).
     resume:
-        Restore from the newest intact checkpoint in ``checkpoint_dir``
-        (trace fingerprint is verified) and replay only the remaining
-        events.
+        Restore from this run's newest intact checkpoint in
+        ``checkpoint_dir`` and replay only the remaining events.  The
+        checkpoints pin the trace and every config field but the two
+        cadences; when none in the directory pins this run,
+        :class:`CheckpointError` is raised.
     kill_after:
         Stop abruptly once this many events have been applied — *no*
         final checkpoint, simulating a crash that loses everything
@@ -173,14 +199,18 @@ def run_service(
     """
     trace = config.trace()
     fingerprint = trace.fingerprint()
+    pin = _run_fingerprint(config, fingerprint)
     metric = config.metric()
     if resume:
         if checkpoint_dir is None:
             raise ValueError("resume=True requires a checkpoint_dir")
-        path = latest_checkpoint(checkpoint_dir)
+        path = latest_checkpoint(checkpoint_dir, fingerprint=pin)
         if path is None:
-            raise CheckpointError(f"no usable checkpoint under {checkpoint_dir}")
-        payload = load_checkpoint(path, fingerprint=fingerprint)
+            raise CheckpointError(
+                f"no intact checkpoint under {checkpoint_dir} pins trace"
+                f" {fingerprint!r} with this config"
+            )
+        payload = load_checkpoint(path, fingerprint=pin)
         service = MatchingService.restore(
             payload["state"],
             metric,
@@ -191,13 +221,11 @@ def run_service(
             warmstart_rounds=config.warmstart_rounds,
         )
         start_seq = int(payload["seq"])
-        resumed_from: Optional[int] = start_seq
     else:
         service = build_service(config)
         start_seq = 0
-        resumed_from = None
         if checkpoint_dir is not None:
-            write_checkpoint(checkpoint_dir, 0, fingerprint, service.snapshot())
+            write_checkpoint(checkpoint_dir, 0, pin, service.snapshot())
     stop_at = len(trace.events)
     if kill_after is not None:
         stop_at = min(max(kill_after, start_seq), stop_at)
@@ -215,9 +243,7 @@ def run_service(
             repair_s.append(perf_counter() - e0)
             done = event.seq + 1
             if checkpoint_dir is not None and done % config.checkpoint_every == 0:
-                write_checkpoint(
-                    checkpoint_dir, done, fingerprint, service.snapshot()
-                )
+                write_checkpoint(checkpoint_dir, done, pin, service.snapshot())
             if config.differential_every and done % config.differential_every == 0:
                 f0 = perf_counter()
                 differentials.append(conformance_check(service))
@@ -228,9 +254,7 @@ def run_service(
     elapsed = perf_counter() - t0
     completed = stop_at == len(trace.events)
     if checkpoint_dir is not None and completed:
-        write_checkpoint(
-            checkpoint_dir, len(trace.events), fingerprint, service.snapshot()
-        )
+        write_checkpoint(checkpoint_dir, len(trace.events), pin, service.snapshot())
     final_diff = conformance_check(service) if completed else None
     if final_diff is not None:
         differentials.append(final_diff)

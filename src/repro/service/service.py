@@ -75,6 +75,27 @@ class ServiceCorruption(RuntimeError):
     """An invariant violation survived the degraded-mode full re-solve."""
 
 
+def validate_policy(
+    repair_budget: Optional[int],
+    on_budget: str,
+    weight_check_every: int,
+    degraded_recovery: int,
+) -> None:
+    """Reject bad policy knobs (:class:`ValueError`) before any state exists.
+
+    Construction, :meth:`MatchingService.restore` and
+    :class:`~repro.service.runner.ServiceConfig` all check through here.
+    """
+    if on_budget not in ("resolve", "defer"):
+        raise ValueError(f"on_budget must be 'resolve' or 'defer', got {on_budget!r}")
+    if repair_budget is not None and repair_budget < 0:
+        raise ValueError(f"repair_budget must be >= 0, got {repair_budget}")
+    if weight_check_every < 1:
+        raise ValueError(f"weight_check_every must be >= 1, got {weight_check_every}")
+    if degraded_recovery < 1:
+        raise ValueError(f"degraded_recovery must be >= 1, got {degraded_recovery}")
+
+
 @dataclass
 class EventOutcome:
     """What one :meth:`MatchingService.apply` call did."""
@@ -154,20 +175,7 @@ class MatchingService(DynamicOverlay):
         warmstart_rounds: Optional[int],
     ) -> None:
         """Validate and set the policy knobs; :meth:`restore` shares it."""
-        if on_budget not in ("resolve", "defer"):
-            raise ValueError(
-                f"on_budget must be 'resolve' or 'defer', got {on_budget!r}"
-            )
-        if repair_budget is not None and repair_budget < 0:
-            raise ValueError(f"repair_budget must be >= 0, got {repair_budget}")
-        if weight_check_every < 1:
-            raise ValueError(
-                f"weight_check_every must be >= 1, got {weight_check_every}"
-            )
-        if degraded_recovery < 1:
-            raise ValueError(
-                f"degraded_recovery must be >= 1, got {degraded_recovery}"
-            )
+        validate_policy(repair_budget, on_budget, weight_check_every, degraded_recovery)
         self.repair_budget = repair_budget
         self.on_budget = on_budget
         self.weight_check_every = weight_check_every
@@ -372,8 +380,8 @@ class MatchingService(DynamicOverlay):
             "peers": [
                 {
                     "peer_id": p.peer_id,
-                    "position": [float(x) for x in p.position],
-                    "interests": [float(x) for x in p.interests],
+                    "position": p.position.tolist(),
+                    "interests": p.interests.tolist(),
                     "bandwidth": float(p.bandwidth),
                     "reliability": float(p.reliability),
                     "quota": int(p.quota),

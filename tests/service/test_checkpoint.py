@@ -1,9 +1,12 @@
 """Tests for crash-consistent checkpoints and kill-and-resume identity."""
 
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.service import checkpoint
 from repro.service.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -11,7 +14,23 @@ from repro.service.checkpoint import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.service.runner import ServiceConfig, build_service, kill_and_resume_check
+from repro.service.runner import (
+    ServiceConfig,
+    build_service,
+    kill_and_resume_check,
+    run_service,
+)
+from repro.telemetry.sink import canonical_fields
+
+
+def _canonical(state) -> bytes:
+    return json.dumps(state, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _stored_state(path) -> bytes:
+    """The raw text of a checkpoint file's ``"state"`` value."""
+    after = path.read_bytes().split(b'"state": ', 1)[1]
+    return after.rsplit(b', "state_hash": ', 1)[0]
 
 
 class TestCheckpointFiles:
@@ -85,6 +104,24 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match="unreadable"):
             load_checkpoint(path)
 
+    def test_latest_skips_non_utf8_files(self, tmp_path):
+        good = write_checkpoint(tmp_path, 1, "fp", {"a": 1})
+        (tmp_path / "checkpoint-00000002.json").write_bytes(b'{"state": "\xff\xfe"}')
+        assert latest_checkpoint(tmp_path) == good
+
+    def test_load_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "checkpoint-00000000.json"
+        path.write_bytes(b'{"version": 2, "state": "\xff"}')
+        with pytest.raises(CheckpointError, match="unreadable"):
+            load_checkpoint(path)
+
+    def test_load_rejects_non_object_json(self, tmp_path):
+        path = tmp_path / "checkpoint-00000000.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+        assert latest_checkpoint(tmp_path) is None
+
     def test_keep_prunes_oldest(self, tmp_path):
         for seq in range(5):
             write_checkpoint(tmp_path, seq, "fp", {"seq": seq}, keep=3)
@@ -95,11 +132,111 @@ class TestCheckpointFiles:
             "checkpoint-00000004.json",
         ]
 
+    def test_prune_keeps_the_checkpoint_just_written(self, tmp_path):
+        # an earlier, longer run left higher seqs behind: they are not
+        # older than seq 0, so none of them may evict it
+        for seq in (150, 175, 200):
+            write_checkpoint(tmp_path, seq, "fp", {"seq": seq})
+        path = write_checkpoint(tmp_path, 0, "fp", {"seq": 0})
+        assert path.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint-00000000.json",
+            "checkpoint-00000150.json",
+            "checkpoint-00000175.json",
+            "checkpoint-00000200.json",
+        ]
+        for seq in (5, 10, 15):
+            write_checkpoint(tmp_path, seq, "fp", {"seq": seq})
+        assert sorted(p.name for p in tmp_path.iterdir())[:3] == [
+            "checkpoint-00000005.json",
+            "checkpoint-00000010.json",
+            "checkpoint-00000015.json",
+        ]
+
     def test_argument_validation(self, tmp_path):
         with pytest.raises(ValueError, match="seq"):
             write_checkpoint(tmp_path, -1, "fp", {})
         with pytest.raises(ValueError, match="keep"):
             write_checkpoint(tmp_path, 0, "fp", {}, keep=0)
+
+
+class TestEncodeOnce:
+    """The file stores the hashed bytes; the loader accepts any layout."""
+
+    STATE = {"b": [0.1, -0.0, 1e-300, 2.5e17], "a": {"z": "ünïcode", "y": None}, "c": 3}
+
+    def test_state_is_stored_as_its_canonical_bytes(self, tmp_path):
+        path = write_checkpoint(tmp_path, 4, "fp", self.STATE)
+        assert _stored_state(path) == _canonical(self.STATE)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert list(payload) == ["fingerprint", "seq", "state", "state_hash", "version"]
+        assert payload["state"] == self.STATE
+
+    def test_state_hash_is_sha256_of_the_stored_bytes(self, tmp_path):
+        path = write_checkpoint(tmp_path, 4, "fp", self.STATE)
+        payload = load_checkpoint(path, fingerprint="fp")
+        assert payload["state_hash"] == hashlib.sha256(_stored_state(path)).hexdigest()
+
+    def test_state_is_serialised_once_per_write(self, tmp_path, monkeypatch):
+        state = build_service(ServiceConfig(n=12, events=0)).snapshot()
+        dumps = json.dumps
+        encodings = []
+
+        def counting_dumps(obj, *args, **kwargs):
+            # the state itself, or an envelope holding it
+            values = obj.values() if isinstance(obj, dict) else ()
+            encodings.append(obj is state or any(v is state for v in values))
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint.json, "dumps", counting_dumps)
+        write_checkpoint(tmp_path, 0, "fp", state)
+        assert encodings.count(True) == 1
+
+    @pytest.mark.parametrize(
+        "config, state_hash",
+        [
+            (
+                ServiceConfig(
+                    n=500, seed=0, events=16, workload="poisson",
+                    checkpoint_every=8, differential_every=0,
+                ),
+                "900c38996618d5c3e6869852a5b8cd7a744fa117c17f265f8ae820b15d17eaa1",
+            ),
+            (
+                ServiceConfig(
+                    n=250, seed=0, events=32, workload="storm",
+                    checkpoint_every=1, differential_every=0,
+                ),
+                "1c88cd9348df37eaa8b08cb5f864b4a373a8ad6d874c8c33e5edd0e356d2876e",
+            ),
+        ],
+        ids=["steady-poisson-500", "storm-250"],
+    )
+    def test_benchmark_service_states_hash_as_before(self, tmp_path, config, state_hash):
+        # the two end-to-end service configurations after their full
+        # pass; the literals were recorded before the writer encoded
+        # the state once, and must never move
+        trace = config.trace()
+        service = build_service(config)
+        for event in trace.events:
+            service.apply(event)
+        path = write_checkpoint(tmp_path, config.events, trace.fingerprint(), service.snapshot())
+        assert load_checkpoint(path)["state_hash"] == state_hash
+
+    def test_older_spaced_layout_loads_and_resumes(self, tmp_path):
+        config = ServiceConfig(n=16, quota=2, seed=2, events=20, checkpoint_every=5)
+        run_service(config, checkpoint_dir=tmp_path, kill_after=12)
+        newest = latest_checkpoint(tmp_path)
+        payload = json.loads(newest.read_text(encoding="utf-8"))
+        # the layout earlier writers produced: one spaced dump of it all
+        newest.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        assert _stored_state(newest) != _canonical(payload["state"])
+        assert latest_checkpoint(tmp_path) == newest
+        assert load_checkpoint(newest)["state"] == payload["state"]
+        resumed = run_service(config, checkpoint_dir=tmp_path, resume=True).report
+        base = run_service(config).report
+        drop = ("differential_checks", "differential_ok", "oracle_violations")
+        assert canonical_fields(resumed, drop=drop) == canonical_fields(base, drop=drop)
 
 
 class TestKillAndResume:
@@ -128,6 +265,40 @@ class TestKillAndResume:
         b = ServiceConfig(n=10, events=10, seed=2, checkpoint_every=5)
         with pytest.raises(CheckpointError, match="pins trace"):
             run_service(b, checkpoint_dir=tmp_path, resume=True)
+
+    def test_resume_never_restores_another_configs_state(self, tmp_path):
+        # both configs replay the same trace (workload, events, seed);
+        # the first run's newer checkpoints must not stand in for the
+        # killed second run's own
+        run_service(ServiceConfig(n=20, events=20, seed=1, checkpoint_every=5), tmp_path)
+        config = ServiceConfig(n=30, events=20, seed=1, checkpoint_every=5)
+        run_service(config, checkpoint_dir=tmp_path, kill_after=12)
+        resumed = run_service(config, checkpoint_dir=tmp_path, resume=True).report
+        base = run_service(config).report
+        assert (resumed["final_n"], resumed["matching_sha"]) == (28, "344dd4748268")
+        assert (base["final_n"], base["matching_sha"]) == (28, "344dd4748268")
+        assert resumed["trace_fingerprint"] == base["trace_fingerprint"]
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(n=11), dict(quota=2), dict(family="ws"), dict(blend=1.0),
+         dict(repair_budget=4), dict(on_budget="defer"), dict(weight_check_every=3),
+         dict(degraded_recovery=2), dict(warmstart_rounds=1)],
+        ids=lambda change: "-".join(change),
+    )
+    def test_resume_rejects_a_config_sharing_the_trace(self, tmp_path, change):
+        config = ServiceConfig(n=10, events=10, seed=1, checkpoint_every=5)
+        run_service(config, checkpoint_dir=tmp_path, kill_after=7)
+        with pytest.raises(CheckpointError, match="pins trace"):
+            run_service(replace(config, **change), checkpoint_dir=tmp_path, resume=True)
+
+    def test_resume_ignores_the_cadences(self, tmp_path):
+        config = ServiceConfig(n=10, events=10, seed=1, checkpoint_every=5)
+        run_service(config, checkpoint_dir=tmp_path, kill_after=7)
+        other = replace(config, checkpoint_every=2, differential_every=3)
+        resumed = run_service(other, checkpoint_dir=tmp_path, resume=True).report
+        base = run_service(config).report
+        assert resumed["matching_sha"] == base["matching_sha"]
 
     def test_kill_frac_validation(self):
         with pytest.raises(ValueError, match="kill_frac"):

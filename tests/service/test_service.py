@@ -202,11 +202,14 @@ class TestSnapshotRestore:
         ids=lambda policy: "-".join(f"{k}={v}" for k, v in policy.items()),
     )
     def test_restore_validates_policy(self, policy):
-        # restore checks its knobs exactly as construction does
+        # restore and ServiceConfig check the knobs exactly as
+        # construction does
         state = build_service(_small(events=0)).snapshot()
         (knob,) = policy
         with pytest.raises(ValueError, match=knob):
             MatchingService.restore(state, _small().metric(), **policy)
+        with pytest.raises(ValueError, match=knob):
+            replace(_small(), **policy)
 
     def test_resume_validates_policy(self, tmp_path):
         config = _small(events=10)
