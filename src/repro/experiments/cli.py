@@ -35,6 +35,7 @@ Entry point (installed via ``python -m repro``):
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Optional, Sequence
 
 import numpy as np
@@ -398,19 +399,26 @@ def _cmd_serve(args) -> int:
     from repro.service import ServiceConfig, kill_and_resume_check, run_service
 
     smoke = args.smoke
-    config = ServiceConfig(
-        n=args.n if args.n is not None else (500 if smoke else 100),
-        quota=args.quota,
-        family=args.family,
-        seed=args.seed,
-        events=args.events if args.events is not None else 200,
-        workload=args.workload,
-        repair_budget=args.budget,
-        on_budget=args.on_budget,
-        checkpoint_every=args.checkpoint_every,
-        differential_every=args.differential_every,
-        warmstart_rounds=args.warmstart_rounds,
-    )
+    try:
+        if args.resume and args.checkpoint is None:
+            raise ValueError("--resume requires --checkpoint DIR")
+        config = ServiceConfig(
+            n=args.n if args.n is not None else (500 if smoke else 100),
+            quota=args.quota,
+            family=args.family,
+            seed=args.seed,
+            events=args.events if args.events is not None else 200,
+            workload=args.workload,
+            repair_budget=args.budget,
+            on_budget=args.on_budget,
+            checkpoint_every=args.checkpoint_every,
+            differential_every=args.differential_every,
+        )
+    except ValueError as exc:
+        # a bad value is a usage error: exit 2 as argparse does, not the
+        # failed-gate exit 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if smoke:
         # the service-smoke CI gate: run the trace uninterrupted, run it
@@ -660,10 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="when a repair truncates: full re-solve (exact)"
                         " or serve the feasible truncated matching"
                         " (almost-stable)")
-    p.add_argument("--warmstart-rounds", type=int, default=None, metavar="K",
-                   help="warm-start every full re-solve from a K-round"
-                        " truncated LID run; the served matching is"
-                        " identical to a cold solve, only cheaper")
     p.add_argument("--differential-every", type=int, default=50,
                    help="conformance-check the served state against a"
                         " from-scratch solve every K events (0 = only at"

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -73,9 +73,9 @@ class RepairStats:
         no-blocking-edge fixpoint was reached (the caller decides
         whether to full-re-solve or serve the almost-stable state).
     stale_dropped:
-        Matched edges scrubbed because one endpoint departed the
-        instance (or the edge itself vanished) since the matching was
-        built — the "leaving while still listed" churn race.
+        Always 0: a leave drops the leaver's partnerships before the
+        repair runs, so no matched edge is ever stale.  Kept because
+        snapshots and run reports carry the service counter it feeds.
     """
 
     resolutions: int = 0
@@ -106,7 +106,7 @@ class WeightCache:
     :func:`~repro.core.weights.satisfaction_weights` build.
 
     With :meth:`key` and :meth:`neighbors` the cache is also the weight
-    view :func:`greedy_repair` reads in external-id space.
+    view :func:`greedy_repair` reads.
     """
 
     __slots__ = ("_w", "_lists")
@@ -180,13 +180,16 @@ class WeightCache:
 _SPARE = (float("-inf"),)
 _NEVER = (float("inf"),)
 
+#: resolutions after which a repair is declared non-convergent; the
+#: potential argument below keeps every real repair far under it
+_MAX_STEPS = 1_000_000
+
 
 def greedy_repair(
     wt: "WeightTable | WeightCache",
-    quotas: "Sequence[int] | Callable[[int], int]",
-    matching: "Matching | dict[int, set[int]]",
-    dirty: "set[int] | Iterable[int]",
-    max_steps: int = 1_000_000,
+    quota: Callable[[int], int],
+    partners: dict[int, set[int]],
+    dirty: set[int],
     budget: Optional[int] = None,
 ) -> RepairStats:
     """Restore the no-weighted-blocking-edge fixpoint from a local change.
@@ -194,23 +197,19 @@ def greedy_repair(
     Repeatedly resolves the heaviest blocking edge incident to the dirty
     region: the edge is added, endpoints over quota drop their lightest
     partner, which joins the dirty region, until no blocking edge
-    remains.  Mutates ``matching`` in place.
+    remains.
 
-    Two id spaces share the loop:
-
-    - **compact** — ``wt`` a :class:`WeightTable`, ``quotas`` a
-      sequence, ``matching`` a :class:`Matching` over the same nodes;
-    - **external** — the live state of a :class:`DynamicOverlay`:
-      ``wt`` its :class:`WeightCache`, ``quotas`` a callable giving a
-      peer's clamped quota, ``matching`` the ``peer_id -> partner set``
-      dict, and ``dirty`` a set of live peers, extended in place to the
-      region the repair touched.
+    ``wt`` is any weight view with ``key`` and ``neighbors`` — a
+    :class:`DynamicOverlay`'s :class:`WeightCache` or a
+    :class:`WeightTable` —, ``quota`` gives a node's clamped quota,
+    ``partners`` maps every node to its partner set and is edited in
+    place, and ``dirty`` holds the nodes to start from; it is extended
+    in place to the region the repair touched.
 
     Candidates sit in a max-heap keyed by the total order ``(w, min,
     max)`` and are re-checked when popped; after a resolution only the
-    peers that lost a partner or just joined the dirty region are
-    rescanned.  Compaction preserves peer-id order, so both id spaces
-    break every tie alike and make the same resolutions.
+    nodes that lost a partner or just joined the dirty region are
+    rescanned.
 
     Correctness: every edge whose blocking status may have changed is
     incident to a dirty node — initial dirtiness covers all nodes whose
@@ -225,18 +224,11 @@ def greedy_repair(
 
     Robustness (the contract the long-lived service relies on):
 
-    - Structural input mismatches — ``quotas`` or ``matching`` sized for
-      a different instance than ``wt``, or a negative quota — raise
-      :class:`~repro.utils.validation.InvalidInstanceError` eagerly.
-    - Churn races are *absorbed*, not raised: dirty ids outside the
-      instance (departed peers) are dropped, and matched edges whose
-      weight no longer exists (a partner left while still listed, or an
-      overlay edge vanished) are scrubbed first, their surviving
-      endpoints joining the dirty region (``stats.stale_dropped``).
-      The external form relies on the overlay's own bookkeeping
-      instead: a leave has already dropped the leaver's partnerships.
-    - An empty or fully-departed instance returns a well-formed
-      zero :class:`RepairStats`.
+    - A partner ``wt`` holds no edge to — a departed peer or a
+      non-neighbour — is corrupt input: when the repair weighs it, it
+      raises :class:`~repro.utils.validation.InvalidMatchingError`, not
+      a bare ``KeyError``.  Churn never produces one: a leave drops the
+      leaver's partnerships before the repair runs.
     - ``budget`` caps the number of resolutions: when it runs out the
       repair returns the current *feasible* (but possibly still
       blocking-edge-carrying) matching with ``stats.truncated`` set,
@@ -246,34 +238,6 @@ def greedy_repair(
     if budget is not None and budget < 0:
         raise InvalidInstanceError(f"repair budget must be >= 0, got {budget}")
     stats = RepairStats()
-    if isinstance(matching, Matching):
-        n = wt.n
-        if len(quotas) != n:
-            raise InvalidInstanceError(
-                f"quotas sized for {len(quotas)} nodes but weight table has {n}"
-            )
-        if matching.n != n:
-            raise InvalidInstanceError(
-                f"matching sized for {matching.n} nodes but weight table has {n}"
-            )
-        if any(q < 0 for q in quotas):
-            raise InvalidInstanceError(f"negative quota in {quotas!r}")
-        dirty = {v for v in dirty if 0 <= v < n}
-        if n == 0:
-            return stats
-        # scrub stale matched edges (endpoint departed / edge withdrawn):
-        # they no longer exist in the instance, so they must neither block
-        # candidate edges nor survive into the repaired matching
-        for a, b in matching.edges():
-            if not wt.has_edge(a, b):
-                matching.remove(a, b)
-                stats.stale_dropped += 1
-                dirty.update((a, b))
-        # the loop edits connection sets in place, as it does partner sets
-        conn, quota = matching._conn, quotas.__getitem__
-    else:
-        conn, quota = matching, quotas
-
     key, neighbours = wt.key, wt.neighbors
     # bar[v]: the key an edge at v must beat for v to take it — below
     # every key while v has spare quota, else its lightest partner's key
@@ -281,17 +245,23 @@ def greedy_repair(
 
     def bar_of(v: int) -> tuple:
         if v not in bar:
-            mine = conn[v]
+            mine = partners[v]
             if len(mine) < quota(v):
                 bar[v] = _SPARE
             else:
-                bar[v] = min((key(v, c) for c in mine), default=_NEVER)
+                try:
+                    bar[v] = min((key(v, c) for c in mine), default=_NEVER)
+                except KeyError:
+                    raise InvalidMatchingError(
+                        f"peer {v} is matched across a non-edge:"
+                        f" partners {sorted(mine)}"
+                    ) from None
         return bar[v]
 
     heap: list[tuple[float, int, int]] = []
 
     def scan(v: int) -> None:
-        mine = conn[v]
+        mine = partners[v]
         for u in neighbours(v):
             stats.edges_scanned += 1
             if u in mine:
@@ -307,7 +277,7 @@ def greedy_repair(
         nw, na, nb = heappop(heap)
         i, j = -na, -nb
         k = (-nw, i, j)
-        if j in conn[i] or not (bar_of(i) < k and bar_of(j) < k):
+        if j in partners[i] or not (bar_of(i) < k and bar_of(j) < k):
             continue  # resolved or outbid since it was pushed
         if budget is not None and stats.resolutions >= budget:
             # a blocking edge remains but the budget is spent: stop with
@@ -321,20 +291,20 @@ def greedy_repair(
                 # at quota: drop the lightest partner
                 _, a, b = lightest
                 worst = b if a == v else a
-                conn[v].discard(worst)
-                conn[worst].discard(v)
+                partners[v].discard(worst)
+                partners[worst].discard(v)
                 bar.pop(worst, None)
                 dirty.add(worst)
                 rescan.append(worst)
             bar.pop(v)
-        conn[i].add(j)
-        conn[j].add(i)
+        partners[i].add(j)
+        partners[j].add(i)
         for v in (i, j):
             if v not in dirty:
                 dirty.add(v)
                 rescan.append(v)
         stats.resolutions += 1
-        if stats.resolutions > max_steps:  # pragma: no cover - safety valve
+        if stats.resolutions > _MAX_STEPS:  # pragma: no cover - safety valve
             raise ProtocolError("repair did not converge; potential argument violated?")
         for v in rescan:
             scan(v)

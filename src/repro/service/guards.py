@@ -32,6 +32,9 @@ from repro.overlay.builder import peer_scorer, ranking_key
 
 __all__ = ["GuardReport", "ServiceGuard"]
 
+#: cap on the cached edge weights one weight-guard pass recomputes
+WEIGHT_SAMPLE = 32
+
 
 @dataclass
 class GuardReport:
@@ -49,19 +52,12 @@ class GuardReport:
 class ServiceGuard:
     """Per-event invariant checks over a service's external-id state.
 
-    Parameters
-    ----------
-    weight_sample:
-        Cap on the number of cached edge weights recomputed per pass
-        (edges are taken in sorted key order starting at a cursor that
-        advances every pass, so successive passes sweep the whole
-        cache).  ``0`` disables the weight check.
+    The weight check recomputes :data:`WEIGHT_SAMPLE` cached edge
+    weights per pass, taken in sorted key order from a cursor that
+    advances every pass, so successive passes sweep the whole cache.
     """
 
-    def __init__(self, weight_sample: int = 32):
-        if weight_sample < 0:
-            raise ValueError(f"weight_sample must be >= 0, got {weight_sample}")
-        self.weight_sample = weight_sample
+    def __init__(self) -> None:
         self._weight_cursor = 0
 
     # -- structural invariants -----------------------------------------
@@ -111,8 +107,6 @@ class ServiceGuard:
         whose entries survived a preference change they should not have
         and a stale list.
         """
-        if self.weight_sample == 0:
-            return
         cached = service._wcache._w
         if not cached:
             return
@@ -131,7 +125,7 @@ class ServiceGuard:
 
         keys = sorted(cached)
         start = self._weight_cursor % len(keys)
-        take = min(self.weight_sample, len(keys))
+        take = min(WEIGHT_SAMPLE, len(keys))
         self._weight_cursor += take
         for off in range(take):
             pa, pb = keys[(start + off) % len(keys)]
@@ -152,12 +146,3 @@ class ServiceGuard:
                     f"weight drift: cached w({pa},{pb})={cached[(pa, pb)]!r}"
                     f" but eq. 9 gives {expect!r}"
                 )
-
-    # ------------------------------------------------------------------
-
-    def check(self, service) -> GuardReport:
-        """One full guard pass; never raises."""
-        report = GuardReport()
-        self.check_structure(service, report)
-        self.check_weights(service, report)
-        return report

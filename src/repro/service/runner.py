@@ -60,32 +60,21 @@ class ServiceConfig:
     seed: int = 0
     events: int = 200
     workload: str = "poisson"
-    blend: float = 0.5
     repair_budget: Optional[int] = None
     on_budget: str = "resolve"
-    weight_check_every: int = 8
-    degraded_recovery: int = 8
     checkpoint_every: int = 25
     differential_every: int = 50
-    #: warm-start every full re-solve from a k-round-truncated LID run
-    #: (None = cold solves); the served matching is identical either way
-    warmstart_rounds: Optional[int] = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.warmstart_rounds is not None and self.warmstart_rounds < 0:
-            raise ValueError(
-                f"warmstart_rounds must be >= 0, got {self.warmstart_rounds}"
-            )
+        if self.quota < 1:
+            raise ValueError(f"quota must be >= 1, got {self.quota}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.events < 0:
             raise ValueError(f"events must be >= 0, got {self.events}")
-        validate_policy(
-            self.repair_budget,
-            self.on_budget,
-            self.weight_check_every,
-            self.degraded_recovery,
-        )
+        validate_policy(self.repair_budget, self.on_budget)
         if self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
@@ -101,14 +90,13 @@ class ServiceConfig:
     def metric(self):
         """The service metric, reconstructible from the config alone.
 
-        A distance base blended with peer-private taste: position
-        updates genuinely re-rank neighbourhoods (pure taste would make
-        ``update`` events no-ops), while taste keeps preferences
-        heterogeneous enough to exercise the paper's weight machinery.
+        A distance base blended half and half with peer-private taste:
+        position updates genuinely re-rank neighbourhoods (pure taste
+        would make ``update`` events no-ops), while taste keeps
+        preferences heterogeneous enough to exercise the paper's weight
+        machinery.
         """
-        if self.blend >= 1.0:
-            return PrivateTasteMetric(self.seed, blend=1.0)
-        return PrivateTasteMetric(self.seed, base=DistanceMetric(), blend=self.blend)
+        return PrivateTasteMetric(self.seed, base=DistanceMetric(), blend=0.5)
 
 
 #: the config fields that never change the served state, so they stay
@@ -121,8 +109,8 @@ def _run_fingerprint(config: ServiceConfig, trace_fingerprint: str) -> str:
 
     It covers the trace plus every config field that shapes the served
     state.  Configs that share a trace but differ in ``n``, ``quota``,
-    ``family``, ``blend`` or repair policy therefore never restore each
-    other's checkpoints.
+    ``family`` or repair policy therefore never restore each other's
+    checkpoints.
     """
     pinned = {k: v for k, v in asdict(config).items() if k not in _CADENCE_FIELDS}
     canon = json.dumps([trace_fingerprint, pinned], sort_keys=True, separators=(",", ":"))
@@ -151,9 +139,6 @@ def build_service(config: ServiceConfig) -> MatchingService:
         config.metric(),
         repair_budget=config.repair_budget,
         on_budget=config.on_budget,
-        weight_check_every=config.weight_check_every,
-        degraded_recovery=config.degraded_recovery,
-        warmstart_rounds=config.warmstart_rounds,
     )
 
 
@@ -216,9 +201,6 @@ def run_service(
             metric,
             repair_budget=config.repair_budget,
             on_budget=config.on_budget,
-            weight_check_every=config.weight_check_every,
-            degraded_recovery=config.degraded_recovery,
-            warmstart_rounds=config.warmstart_rounds,
         )
         start_seq = int(payload["seq"])
     else:

@@ -22,9 +22,11 @@ into something deployable:
   demotes the service to *degraded* mode: the weight cache is dropped,
   the ranked lists re-scored and the matching fully re-solved, and
   every event is answered by a full re-solve until
-  ``degraded_recovery`` consecutive clean events restore incremental
-  mode.  A violation that survives the full re-solve is
-  unrecoverable and raises :class:`ServiceCorruption`;
+  :data:`DEGRADED_RECOVERY` consecutive clean events restore
+  incremental mode.  Corruption the event's repair runs into
+  (:class:`~repro.utils.validation.InvalidMatchingError`) counts as a
+  violation of that event's pass.  A violation that survives the full
+  re-solve is unrecoverable and raises :class:`ServiceCorruption`;
 - **snapshots** — :meth:`snapshot` / :meth:`restore` round-trip the
   entire mutable state (peers, adjacency, partners, weight cache,
   counters, ladder position) through plain JSON types, exactly; the
@@ -39,13 +41,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.fast import FastInstance
-from repro.core.fast_lid import lid_matching_fast
-from repro.core.truncation import validate_max_rounds
-from repro.overlay.churn import DynamicOverlay, RepairStats, greedy_repair
+from repro.overlay.churn import DynamicOverlay, RepairStats
 from repro.overlay.peer import Peer
 from repro.service.events import ChurnEvent
 from repro.service.guards import GuardReport, ServiceGuard
+from repro.utils.validation import InvalidMatchingError
 
 __all__ = ["COUNTERS", "EventOutcome", "MatchingService", "ServiceCorruption"]
 
@@ -70,17 +70,19 @@ COUNTERS = (
 
 MODES = ("incremental", "degraded")
 
+#: the sampled eq.-9 weight guard runs on every k-th event; the
+#: structural guard runs on every event
+WEIGHT_CHECK_EVERY = 8
+
+#: consecutive clean events that return degraded mode to incremental
+DEGRADED_RECOVERY = 8
+
 
 class ServiceCorruption(RuntimeError):
     """An invariant violation survived the degraded-mode full re-solve."""
 
 
-def validate_policy(
-    repair_budget: Optional[int],
-    on_budget: str,
-    weight_check_every: int,
-    degraded_recovery: int,
-) -> None:
+def validate_policy(repair_budget: Optional[int], on_budget: str) -> None:
     """Reject bad policy knobs (:class:`ValueError`) before any state exists.
 
     Construction, :meth:`MatchingService.restore` and
@@ -90,10 +92,6 @@ def validate_policy(
         raise ValueError(f"on_budget must be 'resolve' or 'defer', got {on_budget!r}")
     if repair_budget is not None and repair_budget < 0:
         raise ValueError(f"repair_budget must be >= 0, got {repair_budget}")
-    if weight_check_every < 1:
-        raise ValueError(f"weight_check_every must be >= 1, got {weight_check_every}")
-    if degraded_recovery < 1:
-        raise ValueError(f"degraded_recovery must be >= 1, got {degraded_recovery}")
 
 
 @dataclass
@@ -122,21 +120,6 @@ class MatchingService(DynamicOverlay):
         ``"resolve"`` (default) falls back to a full re-solve when a
         repair truncates; ``"defer"`` serves the feasible truncated
         matching (almost-stable mode).
-    weight_check_every:
-        Run the sampled eq.-9 weight-consistency guard on every k-th
-        event; structural guards run on every event.
-    degraded_recovery:
-        Consecutive clean events required to climb back from degraded
-        to incremental mode.
-    warmstart_rounds:
-        When set, every full re-solve is warm-started from a
-        ``max_rounds``-truncated LID run (the shared contract of
-        :mod:`repro.core.truncation`): the k-round feasible partial
-        matching — a *subset* of the LIC fixpoint, by lock nesting —
-        seeds :func:`~repro.overlay.churn.greedy_repair`, which closes
-        the gap to the exact fixpoint.  The served matching is
-        identical to a cold solve (the fixpoint is unique); only the
-        work changes, quantified in :attr:`last_warmstart`.
     """
 
     def __init__(
@@ -146,75 +129,40 @@ class MatchingService(DynamicOverlay):
         metric,
         repair_budget: Optional[int] = None,
         on_budget: str = "resolve",
-        weight_check_every: int = 8,
-        degraded_recovery: int = 8,
-        guard: Optional[ServiceGuard] = None,
-        warmstart_rounds: Optional[int] = None,
     ):
-        self._configure(
-            repair_budget,
-            on_budget,
-            weight_check_every,
-            degraded_recovery,
-            guard,
-            warmstart_rounds,
-        )
+        self._configure(repair_budget, on_budget)
         self.mode = "incremental"
         self._cooldown = 0
         self.truncated_since_sync = 0
         self.counters: dict[str, int] = {k: 0 for k in COUNTERS}
         super().__init__(topology, peers, metric)
 
-    def _configure(
-        self,
-        repair_budget: Optional[int],
-        on_budget: str,
-        weight_check_every: int,
-        degraded_recovery: int,
-        guard: Optional[ServiceGuard],
-        warmstart_rounds: Optional[int],
-    ) -> None:
-        """Validate and set the policy knobs; :meth:`restore` shares it."""
-        validate_policy(repair_budget, on_budget, weight_check_every, degraded_recovery)
+    def _configure(self, repair_budget: Optional[int], on_budget: str) -> None:
+        """Set the validated policy knobs and fresh guard state; :meth:`restore` shares it."""
+        validate_policy(repair_budget, on_budget)
         self.repair_budget = repair_budget
         self.on_budget = on_budget
-        self.weight_check_every = weight_check_every
-        self.degraded_recovery = degraded_recovery
-        self.warmstart_rounds = validate_max_rounds(warmstart_rounds)
-        #: repair accounting of the most recent warm-started re-solve
-        #: (``None`` until one runs; transient — not checkpointed, since
-        #: it never affects the served state)
-        self.last_warmstart: Optional[RepairStats] = None
-        self.guard = guard if guard is not None else ServiceGuard()
+        self.guard = ServiceGuard()
+        #: violations the current event's repair raised, for its guard pass
+        self._pending = GuardReport()
 
     # -- repair --------------------------------------------------------
 
     def full_rematch(self) -> None:
-        if self.warmstart_rounds is None:
-            super().full_rematch()
-        else:
-            self._warmstart_rematch()
+        super().full_rematch()
         # a from-scratch solve is exactly LIC: any almost-stable debt
         # accumulated by deferred truncations is repaid here
         self.truncated_since_sync = 0
 
-    def _warmstart_rematch(self) -> None:
-        """Full re-solve seeded by a round-truncated LID run.
-
-        The k-wave truncated matching is feasible and nested inside the
-        LIC fixpoint (locks are permanent), so the closing repair only
-        adds edges; because the no-weighted-blocking-edge fixpoint is
-        unique, the result is exactly the cold solve's matching.
-        """
-        ps, ids = self._solve_instance()
-        fi = FastInstance.from_preference_system(ps)
-        res = lid_matching_fast(fi, max_rounds=self.warmstart_rounds)
-        matching = res.matching
-        self.last_warmstart = greedy_repair(
-            fi.weight_table(), list(ps.quotas), matching, range(ps.n)
-        )
-        self._wcache.seed(fi, ids)
-        self._store_matching(matching, ids)
+    def _repair(self, changed: set[int]) -> RepairStats:
+        # corruption inside the region a repair touches surfaces as
+        # InvalidMatchingError; the event's guard pass answers it like a
+        # violation the guard found itself, so the event still completes
+        try:
+            return super()._repair(changed)
+        except InvalidMatchingError as exc:
+            self._pending.violations.append(f"repair: {exc}")
+            return RepairStats()
 
     def _full_resolve_due(self) -> bool:
         # degraded mode distrusts incremental state wholesale until the
@@ -329,9 +277,9 @@ class MatchingService(DynamicOverlay):
     # -- the invariant → degraded-mode ladder --------------------------
 
     def _guard_pass(self) -> bool:
-        report = GuardReport()
+        report, self._pending = self._pending, GuardReport()
         self.guard.check_structure(self, report)
-        if self.counters["events"] % self.weight_check_every == 0:
+        if self.counters["events"] % WEIGHT_CHECK_EVERY == 0:
             self.guard.check_weights(self, report)
         if report.ok:
             if self.mode == "degraded":
@@ -347,7 +295,7 @@ class MatchingService(DynamicOverlay):
         if self.mode != "degraded":
             self.counters["degraded_entries"] += 1
         self.mode = "degraded"
-        self._cooldown = self.degraded_recovery
+        self._cooldown = DEGRADED_RECOVERY
         # the cache is a suspect in any corruption: rebuild it from
         # scratch along with the matching (which re-scores the lists)
         self._wcache.clear()
@@ -404,10 +352,6 @@ class MatchingService(DynamicOverlay):
         metric,
         repair_budget: Optional[int] = None,
         on_budget: str = "resolve",
-        weight_check_every: int = 8,
-        degraded_recovery: int = 8,
-        guard: Optional[ServiceGuard] = None,
-        warmstart_rounds: Optional[int] = None,
     ) -> "MatchingService":
         """Rebuild a service from :meth:`snapshot` output.
 
@@ -416,14 +360,7 @@ class MatchingService(DynamicOverlay):
         the service config seed), exactly as at first construction.
         """
         svc = cls.__new__(cls)
-        svc._configure(
-            repair_budget,
-            on_budget,
-            weight_check_every,
-            degraded_recovery,
-            guard,
-            warmstart_rounds,
-        )
+        svc._configure(repair_budget, on_budget)
         svc.guard._weight_cursor = int(state["guard_cursor"])
         svc.mode = str(state["mode"])
         if svc.mode not in MODES:

@@ -76,6 +76,36 @@ class TestBackendFlag:
         assert "weight cache" in out and "% reuse" in out
 
 
+class TestServeUsageErrors:
+    """A bad ``serve`` value is a usage error (exit 2), not a failed gate (1)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--budget", "-1"],
+            ["--checkpoint-every", "0"],
+            ["--differential-every", "-1"],
+            ["--n", "0"],
+            ["--events", "-3"],
+            ["--quota", "0"],
+            ["--seed", "-1"],
+            ["--resume"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_value_exits_2_with_one_error_line(self, argv, capsys):
+        assert main(["serve", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_warmstart_rounds_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--warmstart-rounds", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --warmstart-rounds 3" in capsys.readouterr().err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "scenario", "interest_social", "--n", "20"],

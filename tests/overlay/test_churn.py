@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.analysis import weighted_blocking_edges
 from repro.core.lic import lic_matching
-from repro.core.matching import Matching
 from repro.core.weights import WeightTable, satisfaction_weights
 from repro.overlay.churn import DynamicOverlay, WeightCache, greedy_repair
 from repro.overlay.peer import Peer
@@ -25,6 +24,19 @@ def _cached_table(cache: WeightCache, ids: list[int]) -> WeightTable:
     )
 
 
+def _partners(n: int, edges=()) -> dict[int, set[int]]:
+    """Partner sets over nodes ``0..n-1`` holding ``edges``."""
+    partners: dict[int, set[int]] = {v: set() for v in range(n)}
+    for a, b in edges:
+        partners[a].add(b)
+        partners[b].add(a)
+    return partners
+
+
+def _edge_set(partners: dict[int, set[int]]) -> set[tuple[int, int]]:
+    return {(a, b) for a, mine in partners.items() for b in mine if a < b}
+
+
 def _assert_is_greedy_fixpoint(dyn: DynamicOverlay):
     ps, matching = dyn.instance()
     wt = satisfaction_weights(ps)
@@ -36,20 +48,21 @@ def _assert_is_greedy_fixpoint(dyn: DynamicOverlay):
 class TestGreedyRepair:
     def test_restores_fixpoint_from_scratch(self):
         wt = WeightTable({(0, 1): 3.0, (1, 2): 2.0, (2, 3): 2.5}, 4)
-        m = Matching(4)
-        stats = greedy_repair(wt, [1, 1, 1, 1], m, dirty={0, 1, 2, 3})
-        assert m.edge_set() == lic_matching(wt, [1, 1, 1, 1]).edge_set()
-        assert stats.resolutions == m.size()
+        quotas = [1, 1, 1, 1]
+        partners = _partners(4)
+        stats = greedy_repair(wt, quotas.__getitem__, partners, {0, 1, 2, 3})
+        assert _edge_set(partners) == lic_matching(wt, quotas).edge_set()
+        assert stats.resolutions == len(_edge_set(partners))
 
     def test_swap_cascade(self):
         # path where a leave at one end cascades swaps down the line
         wt = WeightTable(
             {(0, 1): 5.0, (1, 2): 4.0, (2, 3): 3.0, (3, 4): 2.0}, 5
         )
-        m = Matching(5, [(1, 2), (3, 4)])  # fixpoint if node 0 absent
+        partners = _partners(5, [(1, 2), (3, 4)])  # fixpoint if node 0 absent
         # node 0 appears: edge (0,1) becomes blocking
-        stats = greedy_repair(wt, [1, 1, 1, 1, 1], m, dirty={0, 1})
-        assert m.edge_set() == {(0, 1), (2, 3)}
+        stats = greedy_repair(wt, [1, 1, 1, 1, 1].__getitem__, partners, {0, 1})
+        assert _edge_set(partners) == {(0, 1), (2, 3)}
         assert stats.resolutions == 2  # add (0,1); swap (2,3) in
 
 
@@ -132,7 +145,7 @@ class TestDynamicOverlay:
             ps, _ = dyn.instance()
             wt = satisfaction_weights(ps)
             from_scratch = greedy_repair(
-                wt, list(ps.quotas), Matching(ps.n), set(range(ps.n))
+                wt, list(ps.quotas).__getitem__, _partners(ps.n), set(range(ps.n))
             )
             scratch += from_scratch.edges_scanned
         assert incremental < scratch
@@ -221,91 +234,66 @@ class TestWeightCache:
 
 
 class TestGreedyRepairHardening:
-    """Input validation, churn-race absorption and budget truncation."""
+    """Input validation, corrupt partners and budget truncation."""
 
     def _chain(self):
         # 0-1-2-3 path, strictly decreasing weights
         wt = WeightTable({(0, 1): 5.0, (1, 2): 4.0, (2, 3): 3.0}, 4)
         return wt, [1, 1, 1, 1]
 
-    def test_rejects_mismatched_quotas(self):
-        from repro.utils.validation import InvalidInstanceError
-
-        wt, _ = self._chain()
-        with pytest.raises(InvalidInstanceError):
-            greedy_repair(wt, [1, 1], Matching(4), dirty={0})
-
-    def test_rejects_mismatched_matching(self):
-        from repro.utils.validation import InvalidInstanceError
-
-        wt, quotas = self._chain()
-        with pytest.raises(InvalidInstanceError):
-            greedy_repair(wt, quotas, Matching(3), dirty={0})
-
-    def test_rejects_negative_quota(self):
-        from repro.utils.validation import InvalidInstanceError
-
-        wt, _ = self._chain()
-        with pytest.raises(InvalidInstanceError):
-            greedy_repair(wt, [1, -1, 1, 1], Matching(4), dirty={0})
-
     def test_rejects_negative_budget(self):
         from repro.utils.validation import InvalidInstanceError
 
         wt, quotas = self._chain()
         with pytest.raises(InvalidInstanceError):
-            greedy_repair(wt, quotas, Matching(4), dirty={0}, budget=-1)
+            greedy_repair(wt, quotas.__getitem__, _partners(4), {0}, budget=-1)
+
+    @pytest.mark.parametrize("stranger", [2, 3, 10**6])
+    def test_partner_without_an_edge_is_invalid(self, stranger):
+        # node 0 is at quota with a partner the table has no edge to (a
+        # non-neighbour, or an id no node holds): corrupt input, reported
+        # as such instead of as a bare KeyError from the weight lookup
+        from repro.utils.validation import InvalidMatchingError
+
+        wt, quotas = self._chain()
+        partners = _partners(4)
+        partners[0].add(stranger)
+        with pytest.raises(InvalidMatchingError, match="peer 0 is matched across a non-edge"):
+            greedy_repair(wt, quotas.__getitem__, partners, {0})
 
     def test_edgeless_instance_returns_clean_stats(self):
         # a fully-departed neighbourhood: nodes remain but no edges do
         stats = greedy_repair(
-            WeightTable({}, 4), [1, 1, 1, 1], Matching(4), dirty={0, 1, 2, 3}
+            WeightTable({}, 4), [1, 1, 1, 1].__getitem__, _partners(4), {0, 1, 2, 3}
         )
         assert stats.resolutions == 0
         assert not stats.truncated
         assert stats.stale_dropped == 0
 
-    def test_out_of_range_dirty_ids_are_absorbed(self):
-        wt, quotas = self._chain()
-        m = Matching(4)
-        stats = greedy_repair(wt, quotas, m, dirty={-3, 0, 1, 2, 3, 7, 10**9})
-        assert m.edge_set() == {(0, 1), (2, 3)}
-        assert stats.resolutions == 2
-
-    def test_stale_matched_edge_scrubbed(self):
-        # a peer left while still listed as matched: the matching holds
-        # (1, 2) but the instance no longer has that edge
-        wt = WeightTable({(0, 1): 5.0, (2, 3): 3.0}, 4)
-        m = Matching(4, [(1, 2)])
-        stats = greedy_repair(wt, [1, 1, 1, 1], m, dirty=set())
-        assert stats.stale_dropped == 1
-        # the scrub dirties the freed endpoints, so repair completes
-        assert m.edge_set() == {(0, 1), (2, 3)}
-
     def test_budget_zero_on_stable_matching_not_truncated(self):
         wt, quotas = self._chain()
-        m = Matching(4, [(0, 1), (2, 3)])  # already the fixpoint
-        stats = greedy_repair(wt, quotas, m, dirty={0, 1, 2, 3}, budget=0)
+        partners = _partners(4, [(0, 1), (2, 3)])  # already the fixpoint
+        stats = greedy_repair(wt, quotas.__getitem__, partners, {0, 1, 2, 3}, budget=0)
         assert not stats.truncated
         assert stats.resolutions == 0
 
     def test_budget_truncation_is_feasible_and_flagged(self):
         wt, quotas = self._chain()
-        m = Matching(4)
-        stats = greedy_repair(wt, quotas, m, dirty={0, 1, 2, 3}, budget=1)
+        partners = _partners(4)
+        stats = greedy_repair(wt, quotas.__getitem__, partners, {0, 1, 2, 3}, budget=1)
         assert stats.truncated
         assert stats.resolutions == 1
-        assert m.edge_set() == {(0, 1)}  # heaviest first; (2,3) still blocking
+        assert _edge_set(partners) == {(0, 1)}  # heaviest first; (2,3) still blocking
         # feasibility always holds even when truncated
         for v in range(4):
-            assert m.degree(v) <= quotas[v]
+            assert len(partners[v]) <= quotas[v]
 
     def test_sufficient_budget_completes_exactly(self):
         wt, quotas = self._chain()
-        m = Matching(4)
-        stats = greedy_repair(wt, quotas, m, dirty={0, 1, 2, 3}, budget=2)
+        partners = _partners(4)
+        stats = greedy_repair(wt, quotas.__getitem__, partners, {0, 1, 2, 3}, budget=2)
         assert not stats.truncated
-        assert m.edge_set() == lic_matching(wt, quotas).edge_set()
+        assert _edge_set(partners) == lic_matching(wt, quotas).edge_set()
 
 
 class TestOverlayChurnEdgeCases:

@@ -281,9 +281,8 @@ class TestKillAndResume:
 
     @pytest.mark.parametrize(
         "change",
-        [dict(n=11), dict(quota=2), dict(family="ws"), dict(blend=1.0),
-         dict(repair_budget=4), dict(on_budget="defer"), dict(weight_check_every=3),
-         dict(degraded_recovery=2), dict(warmstart_rounds=1)],
+        [dict(n=11), dict(quota=2), dict(family="ws"), dict(repair_budget=4),
+         dict(on_budget="defer")],
         ids=lambda change: "-".join(change),
     )
     def test_resume_rejects_a_config_sharing_the_trace(self, tmp_path, change):

@@ -30,8 +30,7 @@ BAD_POSITIONS = [
 
 
 def _service():
-    config = ServiceConfig(n=30, seed=1, events=12, workload="poisson",
-                           weight_check_every=1)
+    config = ServiceConfig(n=30, seed=1, events=12, workload="poisson")
     return config, build_service(config)
 
 

@@ -23,6 +23,7 @@ from repro.experiments.instances import topology_for_family
 from repro.overlay.metrics import DistanceMetric, MetricAssignment, PrivateTasteMetric
 from repro.overlay.peer import generate_peers
 from repro.service.differential import conformance_check
+from repro.service.guards import ServiceGuard
 from repro.service.runner import ServiceConfig, build_service
 from repro.service.service import MatchingService
 from repro.utils.rng import spawn_rng
@@ -60,12 +61,11 @@ class TestDifferential:
             dict(workload="storm"),
             dict(workload="poisson", repair_budget=1, on_budget="resolve"),
             dict(workload="storm", repair_budget=1, on_budget="defer"),
-            dict(workload="flash", warmstart_rounds=2, repair_budget=0),
         ],
         ids=lambda over: "-".join(f"{k}={v}" for k, v in over.items()),
     )
     def test_every_event_matches_from_scratch(self, over):
-        config = ServiceConfig(n=30, seed=4, events=30, weight_check_every=1, **over)
+        config = ServiceConfig(n=30, seed=4, events=30, **over)
         _replay_against_scratch(build_service(config), config.trace())
 
     def test_metric_assignment(self):
@@ -81,6 +81,13 @@ class TestDifferential:
         _replay_against_scratch(MatchingService(topology, peers, metric), config.trace())
 
 
+class _NoWeightCheck(ServiceGuard):
+    """The weight guard re-scores pairs through the metric; keep it out."""
+
+    def check_weights(self, service, report):
+        pass
+
+
 class _CountingMetric:
     def __init__(self, inner):
         self.inner = inner
@@ -94,14 +101,13 @@ class _CountingMetric:
 class TestLocality:
     @pytest.mark.parametrize("n", (200, 800))
     def test_metric_calls_track_the_touched_region(self, n):
-        config = ServiceConfig(n=n, seed=2, events=30, workload="poisson",
-                               weight_check_every=10**9)
+        config = ServiceConfig(n=n, seed=2, events=30, workload="poisson")
         rng = spawn_rng(config.seed, "service-init", config.family, str(n))
         topology = topology_for_family(config.family, n, rng)
         peers = generate_peers(n, rng, quota_range=(3, 3))
         metric = _CountingMetric(config.metric())
-        svc = MatchingService(topology, peers, metric,
-                              weight_check_every=config.weight_check_every)
+        svc = MatchingService(topology, peers, metric)
+        svc.guard = _NoWeightCheck()
         seen = set()
         for event in config.trace().events:
             alive = svc.active_ids()

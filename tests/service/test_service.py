@@ -2,7 +2,8 @@
 
 Covers deterministic event application, the budget / on_budget modes,
 the invariant → degraded-mode ladder (including unrecoverable
-corruption), and exact snapshot/restore round-trips.
+corruption and corruption the repair itself runs into), and exact
+snapshot/restore round-trips.
 """
 
 import json
@@ -10,6 +11,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.overlay.churn import DynamicOverlay
+from repro.overlay.scenario import build_scenario
+from repro.service.differential import conformance_check
 from repro.service.guards import GuardReport, ServiceGuard
 from repro.service.runner import (
     ServiceConfig,
@@ -17,8 +21,14 @@ from repro.service.runner import (
     build_service,
     run_service,
 )
-from repro.service.service import MatchingService, ServiceCorruption
+from repro.service.service import (
+    DEGRADED_RECOVERY,
+    WEIGHT_CHECK_EVERY,
+    MatchingService,
+    ServiceCorruption,
+)
 from repro.telemetry.sink import canonical_fields
+from repro.utils.validation import InvalidMatchingError
 
 
 def _small(**over) -> ServiceConfig:
@@ -100,6 +110,22 @@ class _AlwaysViolated(ServiceGuard):
         report.violations.append("injected: permanent fault")
 
 
+#: partner-set corruptions planted in the region an event's repair touches
+PLANTS = ("over-quota", "non-neighbour", "departed")
+
+
+def _plant(overlay: DynamicOverlay, peer: int, plant: str) -> None:
+    mine = overlay._partners[peer]
+    if plant == "over-quota":
+        spare = sorted(overlay._adj[peer] - mine)
+        mine.update(spare[: overlay._lists.quota(peer) + 1 - len(mine)])
+        assert len(mine) > overlay._lists.quota(peer)
+    elif plant == "non-neighbour":
+        mine.add(max(set(overlay._peers) - overlay._adj[peer] - {peer}))
+    else:
+        mine.add(10**6)  # an id no live peer holds
+
+
 class TestDegradedLadder:
     @staticmethod
     def _poison_cache(svc):
@@ -110,14 +136,17 @@ class TestDegradedLadder:
             svc._wcache._w[key] += 1.0
 
     def test_poisoned_weight_cache_trips_guard(self):
-        config = _small(n=40, family="ws", events=8, degraded_recovery=3,
-                        weight_check_every=1)
+        config = _small(n=40, family="ws", events=WEIGHT_CHECK_EVERY)
         svc = build_service(config)
         trace = config.trace().events
-        svc.apply(trace[0])
-        assert svc.mode == "incremental"
+        for event in trace[:-2]:
+            svc.apply(event)
         self._poison_cache(svc)
-        outcome = svc.apply(trace[1])
+        # the structural guard runs on every event and sees no drift; the
+        # sampled weight guard runs on every WEIGHT_CHECK_EVERY-th event
+        assert svc.apply(trace[-2]).guard_ok
+        assert svc.mode == "incremental"
+        outcome = svc.apply(trace[-1])
         assert outcome.guard_ok is False
         assert svc.mode == "degraded"
         assert svc.counters["guard_violations"] >= 1
@@ -129,21 +158,22 @@ class TestDegradedLadder:
         assert report.ok
 
     def test_recovery_after_clean_cooldown(self):
-        config = _small(n=40, family="ws", events=12, degraded_recovery=2,
-                        weight_check_every=1)
+        config = _small(n=40, family="ws", events=WEIGHT_CHECK_EVERY + DEGRADED_RECOVERY)
         svc = build_service(config)
         trace = config.trace().events
-        svc.apply(trace[0])
+        for event in trace[: WEIGHT_CHECK_EVERY - 1]:
+            svc.apply(event)
         self._poison_cache(svc)
-        svc.apply(trace[1])
+        svc.apply(trace[WEIGHT_CHECK_EVERY - 1])
         assert svc.mode == "degraded"
         # degraded events answer with full re-solves until the ladder
-        # releases after `degraded_recovery` consecutive clean passes
-        before = svc.counters["full_resolves"]
-        svc.apply(trace[2])
-        assert svc.mode == "degraded"
-        assert svc.counters["full_resolves"] > before
-        svc.apply(trace[3])
+        # releases after DEGRADED_RECOVERY consecutive clean passes
+        for event in trace[WEIGHT_CHECK_EVERY:-1]:
+            before = svc.counters["full_resolves"]
+            svc.apply(event)
+            assert svc.mode == "degraded"
+            assert svc.counters["full_resolves"] > before
+        svc.apply(trace[-1])
         assert svc.mode == "incremental"
         assert svc.counters["degraded_entries"] == 1
 
@@ -153,6 +183,34 @@ class TestDegradedLadder:
         svc.guard = _AlwaysViolated()
         with pytest.raises(ServiceCorruption, match="survived a full re-solve"):
             svc.apply(config.trace().events[0])
+
+    @pytest.mark.parametrize("plant", PLANTS)
+    def test_corruption_the_repair_meets_degrades(self, plant):
+        config = ServiceConfig(n=200, quota=2, seed=3, events=40)
+        svc = build_service(config)
+        event = next(e for e in config.trace().events if e.kind == "update")
+        alive = svc.active_ids()
+        moved = alive[event.r % len(alive)]
+        _plant(svc, min(svc._adj[moved]), plant)
+        outcome = svc.apply(event)
+        assert outcome.applied and outcome.guard_ok is False
+        assert svc.mode == "degraded"
+        assert svc.counters["guard_violations"] >= 1
+        assert svc.counters["degraded_entries"] == 1
+        assert svc.counters["updates"] == 1
+        assert conformance_check(svc).ok
+
+    @pytest.mark.parametrize("plant", PLANTS)
+    def test_bare_overlay_still_raises(self, plant):
+        sc = build_scenario("geo_latency", 40, seed=3)
+        dyn = DynamicOverlay(sc.topology, sc.peers, sc.metric)
+        leaver = dyn.active_ids()[0]
+        # two hops from the leaver: inside the region the repair starts
+        # from, but the leave changes neither its list nor its partners
+        near = dyn._adj[leaver]
+        _plant(dyn, min(set().union(*(dyn._adj[q] for q in near)) - near - {leaver}), plant)
+        with pytest.raises(InvalidMatchingError):
+            dyn.leave(leaver)
 
 
 class TestSnapshotRestore:
@@ -193,12 +251,7 @@ class TestSnapshotRestore:
 
     @pytest.mark.parametrize(
         "policy",
-        [
-            dict(on_budget="panic"),
-            dict(weight_check_every=0),
-            dict(repair_budget=-1),
-            dict(degraded_recovery=0),
-        ],
+        [dict(on_budget="panic"), dict(repair_budget=-1)],
         ids=lambda policy: "-".join(f"{k}={v}" for k, v in policy.items()),
     )
     def test_restore_validates_policy(self, policy):
