@@ -23,15 +23,16 @@ so an event scores only the pairs it touches.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.core.preferences import PreferenceSystem
-from repro.overlay.metrics import MetricAssignment, SuitabilityMetric
+from repro.overlay.metrics import MetricAssignment, SuitabilityMetric, score_pairs
 from repro.overlay.peer import Peer
 from repro.overlay.topology import Topology
 from repro.utils.validation import InvalidInstanceError
 
-__all__ = ["RankedLists", "build_preference_system", "peer_scorer", "ranking_key"]
+__all__ = ["RankedLists", "build_preference_system", "ranking_key"]
 
 RankKey = tuple[float, int]
 
@@ -40,15 +41,6 @@ def ranking_key(score: float, peer_id: int) -> RankKey:
     """Sort key of a candidate in a preference list: best score first,
     ties to the lower peer id.  Every list of the library sorts by it."""
     return (-score, peer_id)
-
-
-def peer_scorer(
-    metric: SuitabilityMetric | MetricAssignment,
-) -> Callable[[Peer, Peer], float]:
-    """``score(a, b)``: how ``a`` rates ``b`` under ``a``'s own metric."""
-    if isinstance(metric, MetricAssignment):
-        return metric.score
-    return metric
 
 
 def build_preference_system(
@@ -91,14 +83,22 @@ def build_preference_system(
         for i, peer in enumerate(peers):
             peer.position = topology.positions[i]
 
-    score = peer_scorer(metric)
-    rankings = {
-        i: sorted(
-            topology.adjacency[i],
-            key=lambda j: ranking_key(score(peers[i], peers[j]), peers[j].peer_id),
-        )
-        for i in range(topology.n)
-    }
+    adjacency = topology.adjacency
+    scores = score_pairs(
+        metric,
+        peers,
+        [i for i, neighbours in enumerate(adjacency) for _ in neighbours],
+        list(chain.from_iterable(adjacency)),
+    )
+    rankings = {}
+    start = 0
+    for i, neighbours in enumerate(adjacency):
+        key = {
+            j: ranking_key(score, peers[j].peer_id)
+            for j, score in zip(neighbours, scores[start:start + len(neighbours)])
+        }
+        start += len(neighbours)
+        rankings[i] = sorted(neighbours, key=key.__getitem__)
     if quotas is None:
         quotas = [p.quota for p in peers]
     return PreferenceSystem(rankings, list(quotas))
@@ -111,23 +111,31 @@ class RankedLists:
     whenever a pair is scored).  Each list holds :func:`ranking_key`
     tuples in ascending order, so it equals the list
     :func:`build_preference_system` would sort from scratch; churn
-    updates it by bisection and scores only the pairs an event touches:
+    updates it by bisection and scores only the pairs an event touches.
+    Every method scores its pairs in one
+    :func:`~repro.overlay.metrics.score_pairs` call:
 
-    - :meth:`join` scores the joiner's ``k`` neighbours and inserts the
-      joiner into each of their lists: ``2k`` metric calls;
-    - :meth:`leave` removes a peer from its neighbours' lists: none;
+    - :meth:`rank_all` scores every directed pair of the adjacency;
+    - :meth:`join` scores the joiner's ``k`` neighbours and the joiner
+      in each of their lists, ``2k`` pairs, and inserts it there by
+      bisection;
+    - :meth:`leave` removes a peer from its neighbours' lists: no pairs;
     - :meth:`rescore` re-ranks a moved peer and re-inserts it into each
-      neighbour's list: ``2·deg`` calls.
+      neighbour's list: ``2·deg`` pairs.
+
+    A join's ``2k`` pairs usually fall below
+    :data:`~repro.overlay.metrics.BATCH_MIN_PAIRS`, so it takes the
+    scalar loop; a full re-ranking is one batch.
     """
 
-    __slots__ = ("_score", "_peers", "_keys", "_key")
+    __slots__ = ("_metric", "_peers", "_keys", "_key")
 
     def __init__(
         self,
         metric: SuitabilityMetric | MetricAssignment,
         peers: Mapping[int, Peer],
     ):
-        self._score = peer_scorer(metric)
+        self._metric = metric
         self._peers = peers
         #: peer -> its list's keys, ascending (best candidate first)
         self._keys: dict[int, list[RankKey]] = {}
@@ -135,20 +143,49 @@ class RankedLists:
         self._key: dict[int, dict[int, RankKey]] = {}
 
     def rank_all(self, adjacency: Mapping[int, Iterable[int]]) -> None:
-        """Re-score every list from the metric (each directed pair once)."""
+        """Re-score every list of ``adjacency`` from the metric (each
+        directed pair once); lists of peers it omits are dropped."""
         self._keys.clear()
         self._key.clear()
-        for pid, neighbours in adjacency.items():
-            self._rank(pid, neighbours)
+        lists = {pid: list(neighbours) for pid, neighbours in adjacency.items()}
+        scores = self._score(
+            [pid for pid, neighbours in lists.items() for _ in neighbours],
+            list(chain.from_iterable(lists.values())),
+        )
+        start = 0
+        for pid, neighbours in lists.items():
+            self._set(pid, neighbours, scores[start:start + len(neighbours)])
+            start += len(neighbours)
 
-    def _rank(self, pid: int, neighbours: Iterable[int]) -> None:
-        me, peers, score = self._peers[pid], self._peers, self._score
-        keys = {q: ranking_key(score(me, peers[q]), q) for q in neighbours}
+    def _score(self, src: list[int], dst: list[int]) -> list[float]:
+        """How peer ``src[k]`` rates peer ``dst[k]``, from a table that
+        holds each named peer once."""
+        index = dict.fromkeys(chain(src, dst))
+        table = []
+        for k, pid in enumerate(index):
+            index[pid] = k
+            table.append(self._peers[pid])
+        return score_pairs(
+            self._metric,
+            table,
+            list(map(index.__getitem__, src)),
+            list(map(index.__getitem__, dst)),
+        )
+
+    def _set(self, pid: int, neighbours: list[int], scores: list[float]) -> None:
+        keys = dict(zip(neighbours, map(ranking_key, scores, neighbours)))
         self._key[pid] = keys
         self._keys[pid] = sorted(keys.values())
 
-    def _insert(self, pid: int, q: int) -> None:
-        key = ranking_key(self._score(self._peers[pid], self._peers[q]), q)
+    def _rank_both(self, pid: int, neighbours: list[int]) -> list[RankKey]:
+        """Rank ``pid``'s neighbourhood; return ``pid``'s key in each
+        neighbour's list."""
+        k = len(neighbours)
+        scores = self._score([pid] * k + neighbours, neighbours + [pid] * k)
+        self._set(pid, neighbours, scores[:k])
+        return [ranking_key(score, pid) for score in scores[k:]]
+
+    def _insert(self, pid: int, q: int, key: RankKey) -> None:
         self._key[pid][q] = key
         insort(self._keys[pid], key)
 
@@ -161,9 +198,8 @@ class RankedLists:
     def join(self, pid: int, neighbours: Iterable[int]) -> None:
         """Rank a new peer's neighbourhood and enter it into theirs."""
         neighbours = list(neighbours)
-        self._rank(pid, neighbours)
-        for q in neighbours:
-            self._insert(q, pid)
+        for q, key in zip(neighbours, self._rank_both(pid, neighbours)):
+            self._insert(q, pid, key)
 
     def leave(self, pid: int) -> None:
         """Drop a peer's list and remove it from its neighbours' lists."""
@@ -174,10 +210,9 @@ class RankedLists:
     def rescore(self, pid: int) -> None:
         """Re-rank a peer whose attributes changed, in both directions."""
         neighbours = list(self._key[pid])
-        self._rank(pid, neighbours)
-        for q in neighbours:
+        for q, key in zip(neighbours, self._rank_both(pid, neighbours)):
             self._remove(q, pid)
-            self._insert(q, pid)
+            self._insert(q, pid, key)
 
     # -- queries ----------------------------------------------------------
 

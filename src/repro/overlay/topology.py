@@ -13,6 +13,7 @@ symmetric) plus optional node positions for the geometric families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -129,20 +130,62 @@ def random_geometric(n: int, radius: float, rng: np.random.Generator) -> Topolog
     """Random geometric graph in the unit square: connect pairs within ``radius``.
 
     The canonical model for locality-driven overlays; pairs naturally
-    with :class:`~repro.overlay.metrics.DistanceMetric`.
+    with :class:`~repro.overlay.metrics.DistanceMetric`.  A pair is an
+    edge when ``sqrt(((p_i - p_j)**2).sum()) <= radius``; a cell list
+    compares only pairs in the same or adjacent cells, so time and
+    memory grow with ``n`` plus the edge count, not ``n²``.  An infinite
+    radius gives the complete graph.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     pos = rng.uniform(0.0, 1.0, size=(n, 2))
-    # pairwise distances via broadcasting; fine for laptop-scale n
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    iu, ju = np.triu_indices(n, k=1)
-    close = dist[iu, ju] <= radius
-    edges = {(int(a), int(b)) for a, b in zip(iu[close], ju[close])}
-    return _from_edge_set(n, edges, f"geo(n={n},r={radius})", positions=pos)
+    i, j = _pairs_within(pos, radius)
+    return _from_pairs(n, i, j, f"geo(n={n},r={radius})", positions=pos)
+
+
+def _pairs_within(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair of unit-square points with
+    ``sqrt(((pos[i] - pos[j])**2).sum()) <= radius``, once, by cell list."""
+    # cells of side >= radius·(1 + 1e-9): the margin keeps rounding in the
+    # binning from putting a within-radius pair into non-adjacent cells;
+    # at most ~n cells, so a tiny radius cannot blow up the grid
+    cells = int(max(1.0, min(1.0 / (radius * (1.0 + 1e-9)), math.isqrt(len(pos)))))
+    cx, cy = np.minimum((pos * cells).astype(np.int64), cells - 1).T
+    cell = cx * cells + cy
+    order = np.argsort(cell)
+    count = np.bincount(cell, minlength=cells * cells)
+    first = np.cumsum(count) - count
+    src, dst = [], []
+    # the cell itself and the four neighbours that see each cell pair once
+    for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+        nx, ny = cx + dx, cy + dy
+        i = np.flatnonzero((nx < cells) & (ny >= 0) & (ny < cells))
+        other = nx[i] * cells + ny[i]
+        # every point i against every point of its neighbouring cell
+        size = count[other]
+        i = np.repeat(i, size)
+        within = np.arange(len(i)) - np.repeat(np.cumsum(size) - size, size)
+        j = order[np.repeat(first[other], size) + within]
+        if dx == dy == 0:
+            keep = i < j
+            i, j = i[keep], j[keep]
+        close = np.sqrt(((pos[i] - pos[j]) ** 2).sum(axis=1)) <= radius
+        src.append(i[close])
+        dst.append(j[close])
+    return np.concatenate(src), np.concatenate(dst)
+
+
+def _from_pairs(n: int, i: np.ndarray, j: np.ndarray, name: str, positions=None) -> Topology:
+    """:func:`_from_edge_set` for index arrays naming each edge once."""
+    a = np.concatenate([i, j])
+    b = np.concatenate([j, i])
+    order = np.lexsort((b, a))
+    flat = b[order].tolist()
+    ends = np.cumsum(np.bincount(a, minlength=n)).tolist()
+    adjacency = [flat[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+    return Topology(adjacency, positions, name)
 
 
 def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator) -> Topology:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.overlay.builder import peer_scorer, ranking_key
+from repro.overlay.builder import RankedLists
 
 __all__ = ["GuardReport", "ServiceGuard"]
 
@@ -111,24 +111,27 @@ class ServiceGuard:
         if not cached:
             return
         peers, adj = service._peers, service._adj
-        score = peer_scorer(service.metric)
-        fresh: dict[int, dict[int, int]] = {}
-
-        def delta(p: int, q: int) -> float:
-            # eq. 5 from p's freshly scored list, as delta_static computes it
-            if p not in fresh:
-                me = peers[p]
-                ranked = sorted(adj[p], key=lambda c: ranking_key(score(me, peers[c]), c))
-                fresh[p] = {c: r for r, c in enumerate(ranked)}
-            ell = len(fresh[p])
-            return (1.0 - fresh[p][q] / ell) / min(peers[p].quota, ell)
-
         keys = sorted(cached)
         start = self._weight_cursor % len(keys)
         take = min(WEIGHT_SAMPLE, len(keys))
         self._weight_cursor += take
-        for off in range(take):
-            pa, pb = keys[(start + off) % len(keys)]
+        sample = [keys[(start + off) % len(keys)] for off in range(take)]
+        # both endpoints of every live sampled edge, re-ranked from
+        # scratch in one batch
+        fresh = RankedLists(service.metric, peers)
+        fresh.rank_all({
+            p: adj[p]
+            for pa, pb in sample
+            if pa in peers and pb in peers and pb in adj[pa]
+            for p in (pa, pb)
+        })
+
+        def delta(p: int, q: int) -> float:
+            # eq. 5 from p's freshly scored list, as delta_static computes it
+            ell = fresh.length(p)
+            return (1.0 - fresh.rank(p, q) / ell) / fresh.quota(p)
+
+        for pa, pb in sample:
             if pa not in peers or pb not in peers:
                 report.violations.append(
                     f"weight cache: entry ({pa}, {pb}) names a departed peer"

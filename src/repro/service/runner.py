@@ -26,7 +26,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Optional
 
-from repro.experiments.instances import topology_for_family
+from repro.experiments.instances import FAMILIES, topology_for_family
 from repro.overlay.metrics import DistanceMetric, PrivateTasteMetric
 from repro.overlay.peer import generate_peers
 from repro.service.checkpoint import (
@@ -36,7 +36,7 @@ from repro.service.checkpoint import (
     write_checkpoint,
 )
 from repro.service.differential import DifferentialReport, conformance_check
-from repro.service.events import WorkloadTrace, make_trace
+from repro.service.events import WORKLOADS, WorkloadTrace, make_trace
 from repro.service.service import MatchingService, validate_policy
 from repro.telemetry.sink import canonical_fields
 from repro.utils.rng import spawn_rng
@@ -70,8 +70,14 @@ class ServiceConfig:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.quota < 1:
             raise ValueError(f"quota must be >= 1, got {self.quota}")
+        if self.family not in FAMILIES:
+            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.workload not in WORKLOADS:
+            raise ValueError(
+                f"workload must be one of {sorted(WORKLOADS)}, got {self.workload!r}"
+            )
         if self.events < 0:
             raise ValueError(f"events must be >= 0, got {self.events}")
         validate_policy(self.repair_budget, self.on_budget)

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.overlay.builder import build_preference_system
-from repro.overlay.metrics import BandwidthMetric, DistanceMetric, MetricAssignment
+from repro.overlay.builder import RankedLists, build_preference_system
+from repro.overlay.metrics import (
+    BandwidthMetric,
+    DistanceMetric,
+    MetricAssignment,
+    PrivateTasteMetric,
+)
 from repro.overlay.peer import Peer, generate_peers
 from repro.overlay.scenario import SCENARIOS, build_scenario
 from repro.overlay.topology import complete_graph, random_geometric
@@ -68,6 +73,34 @@ class TestBuilder:
             build_preference_system(
                 complete_graph(3), [Peer(peer_id=0)], BandwidthMetric()
             )
+
+    def test_batched_ranking_equals_scalar_ranking(self):
+        # a plain function hides score_batch, so it scores pair by pair
+        rng = np.random.default_rng(8)
+        topo = random_geometric(150, 0.2, rng)
+        peers = generate_peers(150, rng)
+        for k, p in enumerate(peers):
+            p.peer_id = 3 * k + 1
+        metric = PrivateTasteMetric(4, base=DistanceMetric(), blend=0.5)
+        scalar = lambda a, b: metric(a, b)  # noqa: E731
+        assert build_preference_system(topo, peers, metric) == build_preference_system(
+            topo, peers, scalar
+        )
+        by_id = {p.peer_id: p for p in peers}
+        adjacency = {
+            peers[i].peer_id: {peers[j].peer_id for j in nbrs}
+            for i, nbrs in enumerate(topo.adjacency)
+        }
+        batched, looped = RankedLists(metric, by_id), RankedLists(scalar, by_id)
+        batched.rank_all(adjacency)
+        looped.rank_all(adjacency)
+        mover = peers[0].peer_id
+        by_id[mover].position = np.array([0.5, 0.5])
+        for lists in (batched, looped):
+            lists.rescore(mover)
+        for pid in adjacency:
+            assert batched.ranked(pid) == looped.ranked(pid)
+            assert batched._key[pid] == looped._key[pid]
 
     def test_duplicate_ids(self):
         peers = [Peer(peer_id=0), Peer(peer_id=0), Peer(peer_id=2)]

@@ -1,5 +1,7 @@
 """Structural tests for the topology generators (networkx as oracle)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.overlay.topology import (
     random_regular,
     watts_strogatz,
 )
+from repro.overlay.topology import _pairs_within
 
 
 def _check_simple_symmetric(topo: Topology):
@@ -66,6 +69,69 @@ class TestRandomGeometric:
     def test_validation(self):
         with pytest.raises(ValueError):
             random_geometric(10, 0.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="radius"):
+            random_geometric(50, float("nan"), np.random.default_rng(0))
+
+    def test_infinite_radius_is_complete(self):
+        topo = random_geometric(30, float("inf"), np.random.default_rng(0))
+        assert topo.adjacency == complete_graph(30).adjacency
+
+    @pytest.mark.parametrize(
+        "n, radii",
+        [
+            (1, (0.05, 0.25)),
+            (2, (0.05, 0.25, 1.5)),
+            (50, (0.05, 0.25, 1.0, 1e-9)),
+            (500, (0.05, 0.25, 0.1)),
+            (3000, (0.05, 0.25)),
+        ],
+    )
+    def test_cell_list_equals_dense_reference(self, n, radii):
+        # exact reciprocals like 0.05 and 0.25 put cell walls exactly one
+        # radius apart, where binning without a margin could split a pair
+        family = (8.0 / (np.pi * n)) ** 0.5 * 1.8
+        for radius in radii + (family,):
+            for seed in range(1 if n == 3000 else 4):
+                got = random_geometric(n, radius, np.random.default_rng(seed))
+                pos, want = _dense_geometric(n, radius, np.random.default_rng(seed))
+                assert np.array_equal(got.positions, pos)
+                assert got.adjacency == want, (n, radius, seed)
+
+    def test_binning_margin_keeps_boundary_pairs(self):
+        # 0.5 - 0.24999999999999997 rounds to exactly 0.25; cells of side
+        # 0.25 would put the two points two cells apart
+        pos = np.array(
+            [[0.24999999999999997, 0.5], [0.5, 0.5]]
+            + [[0.05 * k, 0.95] for k in range(14)]
+        )
+        i, j = _pairs_within(pos, 0.25)
+        assert (0, 1) in set(zip(i.tolist(), j.tolist()))
+
+    def test_large_build_needs_no_quadratic_memory(self):
+        # the n x n distance matrix alone would take 3 GiB at n = 20,000
+        n = 20_000
+        tracemalloc.start()
+        try:
+            radius = (8.0 / (np.pi * n)) ** 0.5 * 1.8
+            topo = random_geometric(n, radius, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert topo.n == n and topo.m > 200_000
+        assert peak < 128 * 2**20
+
+
+def _dense_geometric(n, radius, rng):
+    """The O(n²) reference: every pair's distance, in row blocks."""
+    pos = rng.uniform(0.0, 1.0, size=(n, 2))
+    adjacency = []
+    for lo in range(0, n, 500):
+        diff = pos[lo:lo + 500, None, :] - pos[None, :, :]
+        close = np.sqrt((diff**2).sum(axis=2)) <= radius
+        for k, row in enumerate(close, start=lo):
+            row[k] = False
+            adjacency.append(np.flatnonzero(row).tolist())
+    return pos, adjacency
 
 
 class TestBarabasiAlbert:

@@ -104,6 +104,11 @@ class TestBudgetModes:
             MatchingService(None, [], None, repair_budget=-1)
         assert svc.on_budget == "resolve"
 
+    @pytest.mark.parametrize("field", ["family", "workload"])
+    def test_config_validates_family_and_workload(self, field):
+        with pytest.raises(ValueError, match=field):
+            _small(**{field: "nope"})
+
 
 class _AlwaysViolated(ServiceGuard):
     def check_structure(self, service, report):
