@@ -15,7 +15,9 @@ two-phase algorithm:
 
 Outcome for complete even instances is Irving's classic dichotomy:
 either all lists end as singletons (the unique content of a stable
-matching) or some list empties (no stable matching exists).  For
+matching) or some list empties (no stable matching exists).  With an
+odd number of nodes an emptied list only means that node stays
+unmatched, so odd instances take the incomplete-list path.  For
 *incomplete* lists the phase-2-empty case is reported as *uncertain*
 (SRI needs a more careful argument), and every positive answer is
 certified with the independent blocking-pair checker before being
@@ -176,7 +178,8 @@ def stable_roommates(ps: PreferenceSystem) -> StableRoommatesResult:
                 f"stable_roommates needs unit quotas, node {i} has b={ps.quota(i)}"
             )
     n = ps.n
-    complete = all(ps.degree(i) == n - 1 for i in ps.nodes())
+    # Irving's dichotomy needs a perfect matching to be possible
+    complete = n % 2 == 0 and all(ps.degree(i) == n - 1 for i in ps.nodes())
 
     table = _Table(ps)
     _phase1(table, n)

@@ -5,8 +5,9 @@ The scalar implementations in :mod:`repro.core.satisfaction`,
 reference; profiling (HPC-guide workflow: make it work → make it right →
 measure) shows the per-edge Python loops dominate beyond a few thousand
 nodes.  This module lowers a :class:`PreferenceSystem` to contiguous
-NumPy arrays **once** (:class:`FastInstance`) and runs the whole hot
-path on them:
+NumPy arrays **once** (:class:`FastInstance`) and runs the matching hot
+path on them; satisfaction is evaluated from the instance's rank maps
+and the matching's connection sets:
 
 - :class:`FastInstance` — edge-indexed arrays ``(i, j, R_i(j), R_j(i),
   w)`` plus node arrays ``(ℓ, b)``, built with vectorised rank recovery
@@ -20,7 +21,9 @@ path on them:
 - :func:`edge_weight_arrays` / :func:`satisfaction_weights_fast` —
   eq.-9 weights for all edges in one vectorised pass,
 - :func:`satisfaction_profile_fast` — per-node eq.-1 / eq.-6
-  satisfaction for a whole matching via ``np.add.at`` scatter sums.
+  satisfaction for a whole matching: per-node passes over the
+  connection sets gather counts and rank sums, and the closed forms run
+  on arrays.
 
 Every kernel is differentially tested against its scalar reference
 (``tests/core/test_fast.py``) and benchmarked in
@@ -392,34 +395,43 @@ def satisfaction_weights_fast(ps: PreferenceSystem) -> WeightTable:
 def satisfaction_profile_fast(
     ps: PreferenceSystem, matching: Matching, kind: str = "full"
 ) -> np.ndarray:
-    """Vectorised per-node satisfaction of a matching.
+    """Per-node satisfaction of a matching: eq. 1 (``"full"``) or eq. 6 (``"static"``).
 
-    Equivalent to :meth:`Matching.satisfaction_vector`; scatter-adds the
-    matched-edge rank contributions with ``np.add.at`` instead of
-    iterating per node.
+    Per-node passes gather, with ``np.fromiter``, each node's connection
+    count ``c_i``, the rank sum ``Σ R_i(j)`` over its connection set,
+    its list length ``ℓ_i`` and its quota ``b_i``; the closed forms
+
+        S̄_i = c_i / b_i - Σ R_i(j) / (b_i ℓ_i)                (eq. 6)
+        S_i = S̄_i + c_i (c_i - 1) / (2 b_i ℓ_i)               (eq. 1)
+
+    then run as whole-array expressions, and nodes with quota 0 score
+    0.  Rank sums are integers, which float64 adds exactly in any
+    order.  The result equals :meth:`Matching.satisfaction_vector` up to
+    rounding (the scalar reference groups the terms differently).
+    Raises :class:`ValueError` for an unknown ``kind`` or a matching
+    over another number of nodes, and :class:`KeyError` for a matched
+    pair that is not an edge of ``ps``.
     """
     if kind not in ("full", "static"):
         raise ValueError(f"kind must be 'full' or 'static', got {kind!r}")
+    if matching.n != ps.n:
+        raise ValueError(f"matching over {matching.n} nodes, instance has {ps.n}")
     n = ps.n
-    counts = np.zeros(n, dtype=np.float64)
-    rank_sums = np.zeros(n, dtype=np.float64)
-    edges = matching.edges()
-    if edges:
-        i_arr = np.empty(len(edges), dtype=np.int64)
-        j_arr = np.empty(len(edges), dtype=np.int64)
-        ri = np.empty(len(edges), dtype=np.float64)
-        rj = np.empty(len(edges), dtype=np.float64)
-        for k, (i, j) in enumerate(edges):
-            i_arr[k] = i
-            j_arr[k] = j
-            ri[k] = ps.rank(i, j)
-            rj[k] = ps.rank(j, i)
-        np.add.at(counts, i_arr, 1.0)
-        np.add.at(counts, j_arr, 1.0)
-        np.add.at(rank_sums, i_arr, ri)
-        np.add.at(rank_sums, j_arr, rj)
-    ell = np.array([max(ps.list_length(v), 1) for v in ps.nodes()], dtype=np.float64)
-    b_true = np.array([ps.quota(v) for v in ps.nodes()], dtype=np.float64)
+    # the connection sets and rank maps are read in place (same package):
+    # per-node copies through the public accessors cost more than the sums
+    conn, ranks = matching._conn, ps._ranks
+    counts = np.fromiter(map(len, conn), dtype=np.float64, count=n)
+    try:
+        rank_sums = np.fromiter(
+            (sum(map(rank.__getitem__, mine)) for rank, mine in zip(ranks, conn)),
+            dtype=np.float64,
+            count=n,
+        )
+    except KeyError:
+        i, j = next((i, j) for i, mine in enumerate(conn) for j in mine if j not in ranks[i])
+        raise KeyError(f"node {j} is not a neighbour of node {i}") from None
+    ell = np.maximum(np.fromiter(map(len, ranks), dtype=np.float64, count=n), 1.0)
+    b_true = np.fromiter(ps.quotas, dtype=np.float64, count=n)
     b = np.maximum(b_true, 1.0)
     out = counts / b - rank_sums / (b * ell)
     if kind == "full":

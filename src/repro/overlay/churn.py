@@ -72,10 +72,6 @@ class RepairStats:
         The repair stopped because its ``budget`` ran out before the
         no-blocking-edge fixpoint was reached (the caller decides
         whether to full-re-solve or serve the almost-stable state).
-    stale_dropped:
-        Always 0: a leave drops the leaver's partnerships before the
-        repair runs, so no matched edge is ever stale.  Kept because
-        snapshots and run reports carry the service counter it feeds.
     """
 
     resolutions: int = 0
@@ -84,7 +80,6 @@ class RepairStats:
     weights_reused: int = 0
     weights_recomputed: int = 0
     truncated: bool = False
-    stale_dropped: int = 0
 
 
 class WeightCache:
@@ -391,18 +386,28 @@ class DynamicOverlay:
         )
         return ps, ids, index
 
-    def _solve_instance(self) -> tuple[PreferenceSystem, list[int]]:
-        """The compact instance a full re-solve starts from.
+    def _rebuild_instance(self) -> tuple[Optional[FastInstance], list[int]]:
+        """Re-derive the ranked lists and the weight cache from scratch.
 
-        Every ranked list is re-scored from the metric — a full re-solve
-        trusts no incremental state — and the fresh lists are compacted,
-        so each directed pair is scored once.
+        The first step of a full re-solve, and all a restore needs:
+        every ranked list is re-scored from the metric (neither trusts
+        incremental state), the fresh lists are compacted and lowered
+        once, so each directed pair is scored once, and the lowered
+        eq.-9 weights fill the cache.  Returns the compact instance and
+        its ids (compact index → peer id); an overlay without peers has
+        no instance (``None``) and an empty cache.
         """
         self._lists.rank_all(self._adj)
         ids = self.active_ids()
+        if not ids:
+            self._wcache.clear()
+            return None, ids
         index = {pid: k for k, pid in enumerate(ids)}
         rankings = [[index[q] for q in self._lists.ranked(pid)] for pid in ids]
-        return PreferenceSystem(rankings, [self._peers[p].quota for p in ids]), ids
+        ps = PreferenceSystem(rankings, [self._peers[p].quota for p in ids])
+        fi = FastInstance.from_preference_system(ps)
+        self._wcache.seed(fi, ids)
+        return fi, ids
 
     def _matching_compact(self, index: dict[int, int]) -> Matching:
         m = Matching(len(index))
@@ -411,12 +416,6 @@ class DynamicOverlay:
                 if pid < q:
                     m.add(index[pid], index[q])
         return m
-
-    def _store_matching(self, matching: Matching, ids: list[int]) -> None:
-        self._partners = {pid: set() for pid in self._peers}
-        for a, b in matching.edges():
-            self._partners[ids[a]].add(ids[b])
-            self._partners[ids[b]].add(ids[a])
 
     # -- public views -------------------------------------------------------
 
@@ -443,11 +442,12 @@ class DynamicOverlay:
 
     def full_rematch(self) -> None:
         """Recompute the matching from scratch (the baseline A3 compares to)."""
-        ps, ids = self._solve_instance()
-        fi = FastInstance.from_preference_system(ps)
-        matching = lic_matching_fast(fi)
-        self._wcache.seed(fi, ids)
-        self._store_matching(matching, ids)
+        fi, ids = self._rebuild_instance()
+        self._partners = {pid: set() for pid in self._peers}
+        if fi is not None:
+            for a, b in lic_matching_fast(fi).edges():
+                self._partners[ids[a]].add(ids[b])
+                self._partners[ids[b]].add(ids[a])
 
     def leave(self, peer_id: int) -> RepairStats:
         """Remove a peer and repair incrementally.

@@ -9,7 +9,7 @@ self-describing::
       "seq": 120,
       "state": { … },              # MatchingService.snapshot()
       "state_hash": "…64 hex…",    # sha256 of the state's bytes
-      "version": 2
+      "version": 3
     }
 
 The state is stored in canonical compact form,
@@ -32,6 +32,8 @@ falling back to the previous intact checkpoint.
 Restores are paranoid: the version must match, the fingerprint must
 match (a service can never resume one run and silently replay a
 different one), and the state hash must match the re-serialised state.
+Version 3 dropped the derived eq.-9 weight cache from the state (a
+restore rebuilds it), so files of earlier versions are refused.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ __all__ = [
     "write_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _NAME_RE = re.compile(r"^checkpoint-(\d{8})\.json$")
 

@@ -68,10 +68,11 @@ def conformance_check(service) -> DifferentialReport:
     Expensive (full weight rebuild + full LID solve) — callers sample
     it, they do not run it per event.
     """
+    if not service.n:
+        # no peers, no instance to compact: nothing can be served wrong
+        return DifferentialReport(n=0)
     ps, ids, index = service._compact_instance()
     report = DifferentialReport(n=len(ids))
-    if not ids:
-        return report
     matching = service._matching_compact(index)
     for oracle in (check_quota, check_edge_locality, check_mutual_consistency):
         oracle_report = oracle(ps, matching)

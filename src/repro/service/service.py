@@ -19,19 +19,21 @@ into something deployable:
 - **invariant guards and the degraded-mode ladder** — after every event
   a :class:`~repro.service.guards.ServiceGuard` pass checks capacity,
   mutual consent and (sampled) eq.-9 weight consistency.  A violation
-  demotes the service to *degraded* mode: the weight cache is dropped,
-  the ranked lists re-scored and the matching fully re-solved, and
-  every event is answered by a full re-solve until
+  demotes the service to *degraded* mode: the ranked lists are
+  re-scored, the weight cache rebuilt from them and the matching fully
+  re-solved, and every event is answered by a full re-solve until
   :data:`DEGRADED_RECOVERY` consecutive clean events restore
   incremental mode.  Corruption the event's repair runs into
   (:class:`~repro.utils.validation.InvalidMatchingError`) counts as a
   violation of that event's pass.  A violation that survives the full
   re-solve is unrecoverable and raises :class:`ServiceCorruption`;
 - **snapshots** — :meth:`snapshot` / :meth:`restore` round-trip the
-  entire mutable state (peers, adjacency, partners, weight cache,
-  counters, ladder position) through plain JSON types, exactly; the
-  ranked lists are derived state, re-scored by :meth:`restore`.
-  :mod:`repro.service.checkpoint` wraps them in versioned atomic files.
+  primary state only (peers, adjacency, partners, counters, ladder
+  position) through plain JSON types, exactly.  The ranked lists and
+  the eq.-9 weight cache are functions of the peers and adjacency:
+  :meth:`restore` re-derives them the way construction does, so a
+  corrupt cache is never persisted.  :mod:`repro.service.checkpoint`
+  wraps the snapshots in versioned atomic files.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ COUNTERS = (
     "updates",
     "skipped",
     "resolutions",
-    "stale_dropped",
     "truncated_repairs",
     "full_resolves",
     "guard_violations",
@@ -174,7 +175,6 @@ class MatchingService(DynamicOverlay):
             self.counters["full_resolves"] += 1
             return stats
         self.counters["resolutions"] += stats.resolutions
-        self.counters["stale_dropped"] += stats.stale_dropped
         self.counters["weights_reused"] += stats.weights_reused
         self.counters["weights_recomputed"] += stats.weights_recomputed
         if stats.truncated:
@@ -296,9 +296,8 @@ class MatchingService(DynamicOverlay):
             self.counters["degraded_entries"] += 1
         self.mode = "degraded"
         self._cooldown = DEGRADED_RECOVERY
-        # the cache is a suspect in any corruption: rebuild it from
-        # scratch along with the matching (which re-scores the lists)
-        self._wcache.clear()
+        # the lists and the cache are suspects in any corruption: the
+        # full re-solve re-derives both from scratch with the matching
         self.full_rematch()
         self.counters["full_resolves"] += 1
         recheck = GuardReport()
@@ -313,10 +312,14 @@ class MatchingService(DynamicOverlay):
     # -- snapshots ------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """The full mutable state as plain JSON types.
+        """The primary state as plain JSON types.
 
-        Floats survive a JSON round-trip exactly in Python, so a
-        restored service is *bit*-identical, not approximately equal.
+        It holds what cannot be recomputed: peers, adjacency, partners,
+        counters and the ladder position.  The partners stay because a
+        deferred repair can serve a truncated matching, not the unique
+        one the lists determine.  Floats survive a JSON round-trip
+        exactly in Python, so a restored service is *bit*-identical,
+        not approximately equal.
         """
         return {
             "next_id": self._next_id,
@@ -342,7 +345,6 @@ class MatchingService(DynamicOverlay):
             "partners": {
                 str(pid): sorted(v) for pid, v in sorted(self._partners.items())
             },
-            "weights": [[a, b, w] for (a, b), w in sorted(self._wcache._w.items())],
         }
 
     @classmethod
@@ -358,6 +360,9 @@ class MatchingService(DynamicOverlay):
         The metric is *not* checkpointed — it must be reconstructed by
         the caller from its own parameters (the runner derives it from
         the service config seed), exactly as at first construction.
+        The ranked lists and the weight cache are rebuilt from the
+        peers and adjacency as construction builds them; the
+        checkpointed partners are kept.
         """
         svc = cls.__new__(cls)
         svc._configure(repair_budget, on_budget)
@@ -390,9 +395,5 @@ class MatchingService(DynamicOverlay):
         }
         svc._next_id = int(state["next_id"])
         svc._init_live_state()
-        # the ranked lists are derived state: re-score them
-        svc._lists.rank_all(svc._adj)
-        svc._wcache._w = {
-            (int(a), int(b)): float(w) for a, b, w in state["weights"]
-        }
+        svc._rebuild_instance()
         return svc

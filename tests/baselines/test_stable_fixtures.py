@@ -54,6 +54,14 @@ class TestHybridSolver:
         assert res.matching is None
         assert res.exists is False  # proven by exhaustive search
 
+    def test_odd_complete_instance_with_a_stable_pair(self):
+        # three people, one stays single: Irving's even-n rule must not
+        # call this unsolvable ({(0, 1)} is stable)
+        ps = PreferenceSystem({0: [1, 2], 1: [0, 2], 2: [0, 1]}, 1)
+        res = stable_fixtures_matching(ps)
+        assert (res.exists, res.method) == (True, "irving")
+        assert res.matching.edge_set() == {(0, 1)}
+
     def test_trivial_instance(self):
         ps = PreferenceSystem({0: [1], 1: [0]}, 1)
         res = stable_fixtures_matching(ps)

@@ -4,7 +4,7 @@ Cross-validated against exhaustive search on random complete and
 incomplete instances, plus the classic textbook instances.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -86,6 +86,22 @@ class TestClassicInstances:
         assert (res.exists is True) == (exhaustive_stable_exists(ps) is not None)
         if res.matching is not None:
             assert is_stable(ps, res.matching)
+
+    def test_odd_complete_triangles(self):
+        """All 8 triangle profiles: an odd complete instance is decided
+        only by a certified matching.
+
+        With three people one always stays single, so a list emptied in
+        phase 1 proves nothing; the two rotating profiles (each prefers
+        the next) have no stable matching, the other six have one.
+        """
+        others = [[j for j in range(3) if j != i] for i in range(3)]
+        for lists in product(*map(permutations, others)):
+            ps = PreferenceSystem(dict(enumerate(map(list, lists))), 1)
+            res = stable_roommates(ps)
+            assert res.certain == (exhaustive_stable_exists(ps) is not None)
+            if res.certain:
+                assert res.exists is True and is_stable(ps, res.matching)
 
     def test_two_people(self):
         ps = PreferenceSystem({0: [1], 1: [0]}, 1)

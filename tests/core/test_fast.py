@@ -44,6 +44,26 @@ class TestWeightsFast:
         assert a.edge_set() == b.edge_set()
 
 
+def _scatter_profile(ps, matching, kind):
+    """Per-edge scatter sums over the matched edges, then the closed forms:
+    the edge-order arithmetic the per-node pass must reproduce bit for bit."""
+    counts = np.zeros(ps.n)
+    rank_sums = np.zeros(ps.n)
+    for i, j in matching.edges():
+        counts[i] += 1.0
+        counts[j] += 1.0
+        rank_sums[i] += ps.rank(i, j)
+        rank_sums[j] += ps.rank(j, i)
+    ell = np.array([max(ps.list_length(v), 1) for v in ps.nodes()], dtype=np.float64)
+    b_true = np.array(ps.quotas, dtype=np.float64)
+    b = np.maximum(b_true, 1.0)
+    out = counts / b - rank_sums / (b * ell)
+    if kind == "full":
+        out = out + counts * (counts - 1.0) / (2.0 * b * ell)
+    out[b_true == 0] = 0.0
+    return out
+
+
 class TestSatisfactionFast:
     @settings(max_examples=30, deadline=None)
     @given(preference_systems())
@@ -53,6 +73,18 @@ class TestSatisfactionFast:
             fast = satisfaction_profile_fast(ps, matching, kind)
             slow = matching.satisfaction_vector(ps, kind)
             assert np.allclose(fast, slow, atol=1e-12)
+            ref = _scatter_profile(ps, matching, kind)
+            assert fast.tobytes() == ref.tobytes()
+
+    def test_rejects_a_matching_it_cannot_score(self):
+        from repro.core.matching import Matching
+
+        ps = PreferenceSystem({0: [1], 1: [0], 2: [3], 3: [2]}, 1)
+        for n in (3, 5):
+            with pytest.raises(ValueError, match="nodes"):
+                satisfaction_profile_fast(ps, Matching(n))
+        with pytest.raises(KeyError, match="node 2 is not a neighbour of node 0"):
+            satisfaction_profile_fast(ps, Matching(4, [(0, 2)]))
 
     def test_empty_matching(self):
         ps = random_ps(10, 0.3, 2, seed=3, ensure_edges=True)

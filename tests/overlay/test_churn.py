@@ -268,7 +268,6 @@ class TestGreedyRepairHardening:
         )
         assert stats.resolutions == 0
         assert not stats.truncated
-        assert stats.stale_dropped == 0
 
     def test_budget_zero_on_stable_matching_not_truncated(self):
         wt, quotas = self._chain()

@@ -20,6 +20,7 @@ from repro.service.runner import (
     kill_and_resume_check,
     run_service,
 )
+from repro.service.service import MatchingService
 from repro.telemetry.sink import canonical_fields
 
 
@@ -78,13 +79,13 @@ class TestCheckpointFiles:
             "partners",
             "peers",
             "truncated_since_sync",
-            "weights",
         ]
-        assert CHECKPOINT_VERSION == 2
+        assert CHECKPOINT_VERSION == 3
 
     def test_load_rejects_version_mismatch(self, tmp_path):
-        # 1 is the format whose state still carried backend/weight_dirty
-        for version in (1, 99):
+        # 1 is the format whose state still carried backend/weight_dirty,
+        # 2 the one whose state still carried the eq.-9 weight cache
+        for version in (1, 2, 99):
             path = write_checkpoint(tmp_path, 0, "fp", {"x": 1})
             payload = json.loads(path.read_text())
             payload["version"] = version
@@ -193,7 +194,7 @@ class TestEncodeOnce:
         assert encodings.count(True) == 1
 
     @pytest.mark.parametrize(
-        "config, state_hash",
+        "config, v2_hash, v3_hash",
         [
             (
                 ServiceConfig(
@@ -201,6 +202,7 @@ class TestEncodeOnce:
                     checkpoint_every=8, differential_every=0,
                 ),
                 "900c38996618d5c3e6869852a5b8cd7a744fa117c17f265f8ae820b15d17eaa1",
+                "bf6bbecb3b114ce76dac775fad80051f5eb003e2fdf3e6cc106339e4ec12af77",
             ),
             (
                 ServiceConfig(
@@ -208,20 +210,34 @@ class TestEncodeOnce:
                     checkpoint_every=1, differential_every=0,
                 ),
                 "1c88cd9348df37eaa8b08cb5f864b4a373a8ad6d874c8c33e5edd0e356d2876e",
+                "1e4886a0bc7e4fffa14be7d19800dff5b2517a194c07dc9f0ff7582e6f4553c0",
             ),
         ],
         ids=["steady-poisson-500", "storm-250"],
     )
-    def test_benchmark_service_states_hash_as_before(self, tmp_path, config, state_hash):
+    def test_benchmark_service_states_hash_as_before(
+        self, tmp_path, config, v2_hash, v3_hash
+    ):
         # the two end-to-end service configurations after their full
-        # pass; the literals were recorded before the writer encoded
-        # the state once, and must never move
+        # pass.  The v2 literals were recorded before the writer encoded
+        # the state once, and must never move: the version-2 state is
+        # the v3 state plus the weight cache a restore rebuilds and the
+        # stale_dropped counter, which was always 0
         trace = config.trace()
         service = build_service(config)
         for event in trace.events:
             service.apply(event)
         path = write_checkpoint(tmp_path, config.events, trace.fingerprint(), service.snapshot())
-        assert load_checkpoint(path)["state_hash"] == state_hash
+        payload = load_checkpoint(path)
+        assert payload["state_hash"] == v3_hash
+        state = payload["state"]
+        restored = MatchingService.restore(state, config.metric())
+        v2 = dict(
+            state,
+            counters=dict(state["counters"], stale_dropped=0),
+            weights=[[a, b, w] for (a, b), w in sorted(restored._wcache._w.items())],
+        )
+        assert hashlib.sha256(_canonical(v2)).hexdigest() == v2_hash
 
     def test_older_spaced_layout_loads_and_resumes(self, tmp_path):
         config = ServiceConfig(n=16, quota=2, seed=2, events=20, checkpoint_every=5)
@@ -250,6 +266,20 @@ class TestKillAndResume:
         assert result["mismatches"] == []
         assert result["guard_violations"] == 0
         assert result["differential_ok"] is True
+
+    def test_resume_from_an_emptied_overlay(self, tmp_path):
+        # every peer has left by the checkpoint the resume restores, so
+        # the restore rebuilds lists and weights for no peers at all
+        config = ServiceConfig(
+            n=2, seed=0, events=10, workload="poisson",
+            checkpoint_every=1, differential_every=0,
+        )
+        run_service(config, checkpoint_dir=tmp_path / "killed", kill_after=2)
+        assert load_checkpoint(latest_checkpoint(tmp_path / "killed"))["state"]["peers"] == []
+        result = kill_and_resume_check(config, workdir=tmp_path / "check", kill_frac=0.2)
+        assert result["kill_after"] == 2
+        assert result["identical"] is True
+        assert result["mismatches"] == []
 
     def test_resume_requires_checkpoint_dir(self):
         from repro.service.runner import run_service

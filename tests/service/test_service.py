@@ -189,6 +189,29 @@ class TestDegradedLadder:
         with pytest.raises(ServiceCorruption, match="survived a full re-solve"):
             svc.apply(config.trace().events[0])
 
+    def test_emptied_service_resolves_from_scratch(self):
+        # with every peer gone there is no instance to lower: a full
+        # re-solve, and the degraded mode that runs one, leave empty
+        # lists, an empty cache and no partners
+        svc = build_service(ServiceConfig(n=3, events=0))
+        for pid in svc.active_ids():
+            svc.leave(pid)
+        svc.full_rematch()
+        assert (svc.n, svc._partners, len(svc._wcache)) == (0, {}, 0)
+        svc._enter_degraded(GuardReport(violations=["injected"]))
+        assert svc.mode == "degraded"
+        assert (svc._partners, len(svc._wcache), list(svc._lists.peers())) == ({}, 0, [])
+        report = conformance_check(svc)
+        assert (report.n, report.ok) == (0, True)
+
+    def test_differential_checks_of_an_emptied_overlay(self):
+        # both peers leave first, so the sampled checks after them run
+        # on an overlay without peers
+        config = ServiceConfig(n=2, seed=0, events=10, differential_every=1)
+        assert [e.kind for e in config.trace().events[:2]] == ["leave", "leave"]
+        report = run_service(config).report
+        assert (report["differential_checks"], report["differential_ok"]) == (11, True)
+
     @pytest.mark.parametrize("plant", PLANTS)
     def test_corruption_the_repair_meets_degrades(self, plant):
         config = ServiceConfig(n=200, quota=2, seed=3, events=40)
@@ -246,6 +269,30 @@ class TestSnapshotRestore:
         assert _matching_sha(clone) == _matching_sha(svc)
         assert clone.counters == svc.counters
         assert clone.mode == svc.mode
+
+    @pytest.mark.parametrize("workload", ["poisson", "flash", "diurnal", "storm"])
+    @pytest.mark.parametrize(
+        "policy",
+        [dict(), dict(repair_budget=1, on_budget="defer")],
+        ids=["resolve", "defer-budget-1"],
+    )
+    def test_restore_rebuilds_the_live_weight_cache(self, workload, policy):
+        # snapshots carry no weights: restore re-derives the cache from
+        # the peers and adjacency, and it must equal the cache the live
+        # service kept up to date event by event, keys and floats
+        config = _small(n=40, events=40, workload=workload, **policy)
+        svc = build_service(config)
+        for seq, event in enumerate(config.trace().events, 1):
+            svc.apply(event)
+            if seq % 10:
+                continue
+            clone = MatchingService.restore(
+                json.loads(json.dumps(svc.snapshot())), config.metric(), **policy
+            )
+            assert {e: w.hex() for e, w in clone._wcache._w.items()} == {
+                e: w.hex() for e, w in svc._wcache._w.items()
+            }
+            assert clone._partners == svc._partners
 
     def test_restore_rejects_unknown_mode(self):
         svc = build_service(_small(events=0))
