@@ -17,10 +17,11 @@ Two sub-experiments:
 
 3. *Fault campaign*: the resilient runtime (reliable channels +
    heartbeat failure detector) swept over the full fault matrix —
-   loss × crashes × a partition/heal cycle × Byzantine peers.  Every
-   cell must terminate with zero invariant violations, a valid
-   live-honest matching and no weighted blocking edge on the clean
-   subgraph; degradation is reported per cell.
+   loss × crashes × a partition/heal cycle × Byzantine peers — as the
+   grid's ``faults`` profile.  Every cell must terminate with zero
+   invariant violations, a valid live-honest matching and no weighted
+   blocking edge on the clean subgraph; degradation is reported per
+   cell.
 """
 
 
@@ -29,7 +30,14 @@ from repro.core.lid import LidNode, run_lid
 from repro.core.weights import satisfaction_weights
 from repro.distsim import BernoulliLoss, Network, Simulator
 from repro.distsim.failures import make_byzantine
-from repro.experiments import CampaignConfig, random_preference_instance, run_campaign
+from repro.experiments import (
+    PROFILES,
+    FaultSpec,
+    GridSpec,
+    random_preference_instance,
+    run_grid,
+    run_grid_cell,
+)
 
 
 def test_a2_loss_retransmission(report, benchmark):
@@ -136,36 +144,61 @@ def test_a2_byzantine_rejectors(report, benchmark):
     benchmark(_byzantine_round)
 
 
+def _cell_label(fault: FaultSpec, seed: int) -> str:
+    parts = [f"loss={fault.loss:g}"]
+    if fault.crash:
+        parts.append(f"crash={fault.crash:g}")
+    if fault.partition:
+        parts.append("partition")
+    if fault.byzantine:
+        parts.append(f"byz={fault.byzantine:g}")
+    parts.append(f"seed={seed}")
+    return " ".join(parts)
+
+
 def test_a2_fault_campaign(report, benchmark):
-    config = CampaignConfig(n=60, seeds=(0, 1))
-    result = run_campaign(config)
+    records = run_grid(PROFILES["faults"]).records
+    faults = [FaultSpec.parse(r["fault"]) for r in records]
+    labels = [_cell_label(f, r["seed"]) for f, r in zip(faults, records)]
 
     report(
-        result.rows(),
+        [
+            {
+                "cell": label,
+                "ok": "yes" if r["ok"] else "NO",
+                "live": r["live_honest"],
+                "clean": r["clean"],
+                "edges": r["matched_edges"],
+                "degrade": f"{r['degradation']:.3f}",
+                "retx": r["retransmissions"],
+                "viol": len(r["violations"]),
+            }
+            for label, r in zip(labels, records)
+        ],
         ["cell", "ok", "live", "clean", "edges", "degrade", "retx", "viol"],
         title="A2c  fault campaign: loss x crash x partition x Byzantine",
         csv_name="a2_campaign.csv",
     )
-    for cell in result.cells:
-        assert cell.terminated, f"cell [{cell.label()}] did not terminate"
-        assert not cell.violations, (
-            f"cell [{cell.label()}] violated invariants: {cell.violations[:3]}"
+    for label, r in zip(labels, records):
+        assert r["terminated"], f"cell [{label}] did not terminate"
+        assert not r["violations"], (
+            f"cell [{label}] violated invariants: {r['violations'][:3]}"
         )
-        assert cell.valid, f"cell [{cell.label()}] produced an infeasible matching"
-        assert cell.blocking_edges == 0, (
-            f"cell [{cell.label()}] left {cell.blocking_edges} weighted "
+        assert r["valid"], f"cell [{label}] produced an infeasible matching"
+        assert r["blocking_edges"] == 0, (
+            f"cell [{label}] left {r['blocking_edges']} weighted "
             "blocking edges on the clean subgraph"
         )
     # the fault-free-ish corner keeps nearly all welfare; the worst
     # corner (30% loss + crashes + partition + Byzantine) degrades but
     # never collapses
-    assert result.worst_degradation() > 0.4
-    benign = [c for c in result.cells
-              if not c.crash_frac and not c.partitioned and not c.byzantine_frac]
-    assert min(c.degradation for c in benign) > 0.9
+    assert min(r["degradation"] for r in records) > 0.4
+    benign = [r["degradation"] for f, r in zip(faults, records)
+              if not (f.crash or f.partition or f.byzantine)]
+    assert min(benign) > 0.9
 
-    single = CampaignConfig(
-        n=40, loss_rates=(0.15,), crash_fracs=(0.05,), partition=(True,),
-        byzantine_fracs=(0.1,), seeds=(0,),
+    single = GridSpec(
+        name="a2-single", engines=("resilient",), sizes=(40,), quotas=(3,),
+        density=0.15, faults=("loss=0.15+crash=0.05+partition+byz=0.1",),
     )
-    benchmark(lambda: run_campaign(single))
+    benchmark(lambda: run_grid_cell(single, single.cells()[0]))

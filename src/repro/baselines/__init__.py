@@ -21,9 +21,7 @@ from repro.baselines.exact import (
     optimal_satisfaction,
     optimal_weight,
 )
-from repro.baselines.hoepman import HoepmanNode, HoepmanResult, run_hoepman
 from repro.baselines.local_search import LocalSearchResult, local_search_bmatching
-from repro.baselines.gale_shapley import bipartition, gale_shapley
 from repro.baselines.greedy import (
     global_greedy_matching,
     path_growing_matching,
@@ -56,13 +54,8 @@ __all__ = [
     "max_weight_bmatching_milp",
     "optimal_satisfaction",
     "optimal_weight",
-    "HoepmanNode",
     "LocalSearchResult",
     "local_search_bmatching",
-    "HoepmanResult",
-    "run_hoepman",
-    "bipartition",
-    "gale_shapley",
     "global_greedy_matching",
     "path_growing_matching",
     "random_order_greedy",

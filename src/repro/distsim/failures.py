@@ -3,8 +3,8 @@
 The paper's future-work section (§7) asks how the greedy strategy copes
 with "scenarios where some malicious nodes actively try to disrupt the
 algorithm's execution".  These adapters let the robustness experiments
-(A2 and the fault campaign of :mod:`repro.experiments.campaign`)
-exercise LID under:
+(A2 and the grid's ``resilient`` fault cells, ``grid run --profile
+chaos|faults``) exercise LID under:
 
 - i.i.d. message loss (:class:`BernoulliLoss`),
 - scheduled node crashes (:class:`CrashSchedule`),

@@ -77,7 +77,8 @@ class BackoffPolicy:
     (``None`` = unlimited, which trades guaranteed quiescence for
     delivery persistence — a campaign against crashes must keep it
     finite).  :meth:`span` gives the worst-case time from first send to
-    giving up, the number campaigns compare against partition windows.
+    giving up, the number ``GridSpec`` compares against the partition
+    window of its resilient cells.
     """
 
     def __init__(
@@ -159,7 +160,8 @@ class ReliableNode(ProtocolNode):
         *watched* peer is declared suspected.  Must comfortably exceed
         ``heartbeat_interval`` plus channel latency, or live peers get
         declared dead (the classic failure-detector accuracy/latency
-        trade-off; the campaign sweeps this).
+        trade-off; a grid spec's ``suspect_after`` sets it for resilient
+        cells).
     rng:
         Seeded generator for backoff jitter (``None`` = no jitter).
     """

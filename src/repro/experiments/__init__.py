@@ -15,14 +15,6 @@ from repro.experiments.aggregate import (
     summarise,
     write_report,
 )
-from repro.experiments.campaign import (
-    CampaignCell,
-    CampaignConfig,
-    CampaignResult,
-    effective_blocking_edges,
-    run_campaign,
-    run_cell,
-)
 from repro.experiments.grid import (
     GridRunResult,
     GridStore,
@@ -70,12 +62,6 @@ __all__ = [
     "run_grid_cell",
     "summarise",
     "write_report",
-    "CampaignCell",
-    "CampaignConfig",
-    "CampaignResult",
-    "effective_blocking_edges",
-    "run_campaign",
-    "run_cell",
     "FAMILIES",
     "cyclic_roommates",
     "family_instance",

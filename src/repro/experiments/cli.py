@@ -6,13 +6,12 @@ Entry point (installed via ``python -m repro``):
   run LID, print matching statistics;
 - ``python -m repro compare geo_latency --n 40``    — satisfaction
   comparison of LID vs baselines vs OPT on one scenario;
-- ``python -m repro campaign [--smoke]``            — seeded fault
-  campaign (loss × crash × partition × Byzantine); ``--smoke`` is the
-  chaos-smoke CI preset and exits non-zero on any invariant violation;
 - ``python -m repro grid run|status|report``        — declarative
   parameter grids (engine × family × n × b × churn × fault × seed)
   with resumable parallel execution and aggregation; ``grid run
-  --smoke`` is the grid-smoke CI merge gate;
+  --smoke`` is the grid-smoke CI merge gate, and ``grid run --profile
+  chaos`` (or ``faults``) sweeps the seeded fault matrix (loss × crash
+  × partition × Byzantine) on the resilient runtime;
 - ``python -m repro conformance [--smoke]``         — cross-backend
   differential sweep + oracle battery + mutation smoke; ``--smoke`` is
   the conformance-smoke CI preset and exits non-zero iff a divergence /
@@ -238,44 +237,6 @@ def _cmd_telemetry(args) -> int:
                 print(f"{kind}: {paths[kind]}")
         return 0
     raise AssertionError(args.telemetry_command)
-
-
-def _cmd_campaign(args) -> int:
-    from repro.experiments.campaign import CampaignConfig, run_campaign
-
-    if args.smoke:
-        # the chaos-smoke CI gate: one large adversarial sweep — loss up
-        # to 30%, 5% crashes, one partition/heal cycle, 5% Byzantine
-        config = CampaignConfig(
-            n=args.n or 500,
-            loss_rates=(0.05, 0.3),
-            crash_fracs=(0.05,),
-            partition=(True,),
-            byzantine_fracs=(0.0, 0.05),
-            seeds=tuple(range(args.seeds)),
-        )
-    else:
-        config = CampaignConfig(
-            n=args.n or 60,
-            seeds=tuple(range(args.seeds)),
-        )
-    res = run_campaign(config, workers=args.workers)
-    print_table(
-        res.rows(),
-        title=f"fault campaign (n={config.n}, {len(res.cells)} cells)",
-    )
-    print(f"worst degradation {res.worst_degradation():.3f}"
-          f" (live-honest satisfaction vs fault-free matching)")
-    if not res.ok:
-        for cell in res.failures:
-            detail = "; ".join(cell.violations[:3]) or (
-                "did not terminate" if not cell.terminated
-                else f"{cell.blocking_edges} blocking edges"
-            )
-            print(f"FAILED cell [{cell.label()}]: {detail}")
-        return 1
-    print("all cells terminated with zero invariant violations")
-    return 0
 
 
 def _cmd_conformance(args) -> int:
@@ -513,22 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("list", help="list the experiment inventory")
     p.set_defaults(fn=_cmd_list)
-
-    p = sub.add_parser(
-        "campaign",
-        help="seeded fault campaign: loss x crash x partition x Byzantine",
-    )
-    p.add_argument("--n", type=int, default=None,
-                   help="nodes per cell (default 60; 500 with --smoke)")
-    p.add_argument("--seeds", type=int, default=2,
-                   help="replications per fault configuration")
-    p.add_argument("--smoke", action="store_true",
-                   help="the chaos-smoke CI preset: one large adversarial"
-                        " sweep, non-zero exit on any violation")
-    p.add_argument("--workers", type=int, default=None,
-                   help="evaluate fault cells in a process pool (the"
-                        " campaign runs through the grid engine)")
-    p.set_defaults(fn=_cmd_campaign)
 
     p = sub.add_parser(
         "grid",

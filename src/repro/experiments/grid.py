@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -173,19 +173,30 @@ class GridStore:
 # ---------------------------------------------------------------------
 
 
-def _instance(spec: GridSpec, cell: GridCell):
-    """The cell's preference instance — engine-independent by design.
+#: ER edge probability of resilient cells whose spec sets neither
+#: ``density`` nor ``degree`` (the fault matrix's instance model)
+RESILIENT_DENSITY = 0.15
 
-    Seeding never involves the engine axis, so every engine of a grid
-    sees bit-identical instances and rows are directly comparable.
+
+def _instance(spec: GridSpec, cell: GridCell):
+    """The cell's preference instance.
+
+    Seeding never involves the engine axis.  With ``density`` or
+    ``degree`` set, every engine draws the same Erdős–Rényi instance,
+    so rows are directly comparable.  Without either, the static and
+    truncated engines draw
+    :func:`~repro.experiments.instances.family_instance`, while
+    resilient cells draw ER at :data:`RESILIENT_DENSITY`.
     """
     if spec.density is not None:
-        return random_preference_instance(cell.n, spec.density, cell.b,
-                                          seed=cell.seed)
-    if spec.degree is not None:
-        return random_preference_instance(cell.n, spec.degree / cell.n, cell.b,
-                                          seed=cell.seed)
-    return family_instance(cell.family, cell.n, cell.b, seed=cell.seed)
+        p = spec.density
+    elif spec.degree is not None:
+        p = spec.degree / cell.n
+    elif cell.engine == "resilient":
+        p = RESILIENT_DENSITY
+    else:
+        return family_instance(cell.family, cell.n, cell.b, seed=cell.seed)
+    return random_preference_instance(cell.n, p, cell.b, seed=cell.seed)
 
 
 def _sat_stats(ps, matching) -> dict:
@@ -233,11 +244,7 @@ def _run_static(spec: GridSpec, cell: GridCell, tel=NULL, probe=None) -> dict:
         record["lic_ms"] = 1e3 * (time.perf_counter() - t0)
 
     record.update(_sat_stats(ps, matching))
-    try:
-        matching.validate(ps)
-        record["valid"] = True
-    except Exception:
-        record["valid"] = False
+    record["valid"] = matching.is_feasible(ps)
     if spec.measure_ratio:
         record.update(_ratio_fields(ps))
     record["ok"] = bool(
@@ -282,11 +289,7 @@ def _run_truncated(spec: GridSpec, cell: GridCell, tel=NULL, probe=None) -> dict
     }
     matching = res.matching
     record.update(_sat_stats(ps, matching))
-    try:
-        matching.validate(ps)
-        record["valid"] = True
-    except Exception:
-        record["valid"] = False
+    record["valid"] = matching.is_feasible(ps)
     fixpoint_ok = (
         not trunc.converged
         or (trunc.weighted_blocking_pairs == 0
@@ -382,50 +385,124 @@ def _run_service(spec: GridSpec, cell: GridCell, tel=NULL) -> dict:
     return record
 
 
+def _clean_blocking_edges(wt, quotas, result) -> int:
+    """Weighted blocking edges of a faulty run, on the clean subgraph.
+
+    The Lemma 4/6 no-blocking-edge certificate cannot hold verbatim
+    under faults (a node whose partner crashed holds a wasted slot the
+    restricted matching does not show), so it is evaluated where the
+    claim actually applies: both endpoints *clean* (their protocol view
+    equals the extracted matching) and neither endpoint withdrew the
+    other (a withdrawn edge was severed by the failure detector, not
+    declined by greedy choice).  On that subgraph the certificate is
+    exact — any survivor is a genuine protocol bug.
+    """
+    from repro.core.analysis import weighted_blocking_edges
+
+    clean = result.clean_nodes()
+    return sum(
+        1
+        for i, j in weighted_blocking_edges(wt, quotas, result.matching)
+        if i in clean and j in clean
+        and j not in result.nodes[i].withdrawn
+        and i not in result.nodes[j].withdrawn
+    )
+
+
 def _run_resilient(spec: GridSpec, cell: GridCell, tel=NULL,
                    probe=None) -> dict:
-    from repro.distsim.metrics import SimMetrics
-    from repro.distsim.reliable import BackoffPolicy
-    from repro.experiments.campaign import CampaignConfig
-    from repro.experiments.campaign import run_cell as run_fault_cell
+    """The ``resilient`` engine: one cell of the fault matrix.
+
+    Runs resilient LID on an ER instance under the cell's fault model
+    and judges it: every live honest node terminates, the invariant
+    monitor records no violation, the live-honest matching is feasible
+    and the clean subgraph has no weighted blocking edge.
+    ``degradation`` is the live honest nodes' satisfaction divided by
+    what the same nodes earn in the fault-free (LIC ≡ LID, Lemmas 4/6)
+    matching — the price of the fault model.
+    """
+    from repro.core.lic import lic_matching
+    from repro.core.resilient_lid import run_resilient_lid
+    from repro.core.weights import satisfaction_weights
+    from repro.distsim.failures import (
+        BernoulliLoss,
+        CrashSchedule,
+        PartitionSchedule,
+    )
 
     fault = FaultSpec.parse(cell.fault)
-    config = CampaignConfig(
-        n=cell.n,
-        density=spec.density if spec.density is not None else 0.15,
-        quota=cell.b,
-        loss_rates=(fault.loss,),
-        crash_fracs=(fault.crash,),
-        partition=(fault.partition,),
-        byzantine_fracs=(fault.byzantine,),
-        seeds=(cell.seed,),
+    t0 = time.perf_counter()
+    ps = _instance(spec, cell)
+    wt = satisfaction_weights(ps)
+    quotas = list(ps.quotas)
+
+    # the fault layout: Byzantine peers first, then crashes, from one
+    # shuffle; a partition cuts off the shuffle's first half
+    rng = spawn_rng(cell.seed, "campaign-plan", f"{fault.crash}",
+                    f"{fault.byzantine}",
+                    "part" if fault.partition else "nopart")
+    ids = list(range(ps.n))
+    rng.shuffle(ids)
+    n_byz = int(round(fault.byzantine * ps.n))
+    modes = ("reject_all", "accept_all")
+    byzantine = {b: modes[k % 2] for k, b in enumerate(ids[:n_byz])}
+    crash_ids = ids[n_byz:n_byz + int(round(fault.crash * ps.n))]
+    crashes = None
+    if crash_ids:
+        times = 1.0 + 5.0 * rng.random(len(crash_ids))
+        crashes = CrashSchedule(
+            [(float(t), int(c)) for t, c in zip(times, crash_ids)]
+        )
+    partitions = None
+    if fault.partition:
+        start, end = spec.partition_window()
+        partitions = PartitionSchedule([(start, end, [ids[: ps.n // 2]])])
+
+    result = run_resilient_lid(
+        wt,
+        quotas,
+        seed=cell.seed,
+        drop_filter=BernoulliLoss(fault.loss) if fault.loss > 0 else None,
+        crashes=crashes,
+        partitions=partitions,
+        byzantine=byzantine,
+        backoff=spec.backoff_policy(),
         heartbeat_interval=spec.heartbeat_interval,
         suspect_after=spec.suspect_after,
-        partition_start=spec.partition_start,
-        backoff=BackoffPolicy(*spec.backoff) if spec.backoff else BackoffPolicy(),
+        telemetry=tel if tel is not NULL else None,
+        probe=probe,
     )
-    metrics_out: dict = {}
-    t0 = time.perf_counter()
-    cc = run_fault_cell(config, fault.loss, fault.crash, fault.partition,
-                        fault.byzantine, cell.seed,
-                        telemetry=tel if tel is not NULL else None,
-                        probe=probe, metrics_out=metrics_out)
+    valid = result.matching.is_feasible(ps)
+    blocking = _clean_blocking_edges(wt, quotas, result)
+    live_honest = result.live_honest
+    vec_base = lic_matching(wt, quotas).satisfaction_vector(ps)
+    vec_fault = result.matching.satisfaction_vector(ps)
+    sat_base = float(sum(vec_base[i] for i in live_honest))
+    sat_fault = float(sum(vec_fault[i] for i in live_honest))
     wall = time.perf_counter() - t0
-    record = asdict(cc)
-    # the coordinates already carry the fault model and seed
-    for coord in ("loss", "crash_frac", "partitioned", "byzantine_frac", "seed"):
-        record.pop(coord)
-    record["satisfaction"] = float(record["satisfaction"])
-    record["baseline_satisfaction"] = float(record["baseline_satisfaction"])
-    record["degradation"] = float(cc.degradation)
-    record["resilient_ms"] = 1e3 * wall
-    record["ok"] = bool(cc.ok)
-    sim_metrics = SimMetrics.from_dict(metrics_out)
-    record.update(sim_metrics.kind_counters())
-    record["dropped"] = sim_metrics.dropped
-    record["duplicates_suppressed"] = sim_metrics.duplicates_suppressed
-    record["max_depth"] = sim_metrics.max_depth
-    return record
+
+    metrics = result.metrics
+    return {
+        "terminated": result.terminated,
+        "violations": list(result.violations),
+        "blocking_edges": blocking,
+        "valid": valid,
+        "live_honest": len(live_honest),
+        "clean": len(result.clean_nodes()),
+        "matched_edges": len(result.matching.edges()),
+        "satisfaction": sat_fault,
+        "baseline_satisfaction": sat_base,
+        "retransmissions": metrics.retransmissions,
+        "events": metrics.events,
+        "degradation": sat_fault / sat_base if sat_base > 0.0 else 1.0,
+        "resilient_ms": 1e3 * wall,
+        "ok": bool(result.terminated and not result.violations and valid
+                   and blocking == 0),
+        **metrics.kind_counters(),
+        "dropped": metrics.dropped,
+        "duplicates_suppressed": metrics.duplicates_suppressed,
+        "max_depth": metrics.max_depth,
+    }
 
 
 def _jsonable(value):

@@ -1,4 +1,4 @@
-"""Declarative parameter-grid specifications for campaign-scale sweeps.
+"""Declarative parameter-grid specifications for large sweeps.
 
 Every empirical claim in the repo — the Theorem 1/3 approximation
 bounds, LID's message complexity, satisfaction under churn and faults —
@@ -18,7 +18,8 @@ Axes
   ``lid-reference`` / ``lid-fast`` (distributed Algorithm 1, simulator
   or round-batched engine) or ``resilient`` (the fault-tolerant
   runtime).  The *instance* of a cell is seeded independently of the
-  engine axis, so engines are compared on identical inputs.
+  engine axis; with ``density`` or ``degree`` set, every engine sees
+  the same instance (see :class:`GridSpec`).
 - ``families`` — named topology families (:data:`FAMILIES`).
 - ``sizes`` / ``quotas`` — overlay size ``n`` and per-node quota ``b``.
 - ``churn`` — number of join/leave events applied to a dynamic overlay
@@ -34,11 +35,10 @@ Axes
 Not every coordinate combination is meaningful; :meth:`GridSpec.cells`
 expands only the *compatible* subset under the documented rules:
 faults run exclusively on the ``resilient`` engine (and the resilient
-engine only on the ``er`` family, matching the fault campaign's
-instance model), and churn runs exclusively on the churn-consuming
-engines — the incremental-repair ``lic-fast`` pipeline and the
-long-lived ``lid-service`` (for which the churn count is the workload
-trace length, so it requires churn > 0).
+engine only on the ``er`` family, its instance model), and churn runs
+exclusively on the churn-consuming engines — the incremental-repair
+``lic-fast`` pipeline and the long-lived ``lid-service`` (for which the
+churn count is the workload trace length, so it requires churn > 0).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -222,9 +222,11 @@ class GridSpec:
     degree: ``p = degree / n``) switch instance generation to the plain
     Erdős–Rényi :func:`~repro.experiments.instances
     .random_preference_instance`; both require ``families == ("er",)``.
-    Without either, instances come from
+    Every engine of such a spec sees the same instance per ``(n, b,
+    seed)``.  Without either, static and truncated cells draw from
     :func:`~repro.experiments.instances.family_instance` (expected
-    degree ≈ 8 across families).
+    degree ≈ 8 across families), while resilient cells draw ER at
+    density 0.15, so their instances differ from the other engines'.
 
     ``measure_ratio`` additionally solves the exact eq.-1 optimum per
     cell (MILP — small ``n`` only) and records the Theorem-3 ratio;
@@ -232,8 +234,13 @@ class GridSpec:
     the same instance (Lemmas 4/6).
 
     The ``heartbeat_interval`` / ``suspect_after`` / ``partition_start``
-    / ``backoff`` knobs parameterise the resilient engine exactly as
-    :class:`~repro.experiments.campaign.CampaignConfig` does.
+    / ``backoff`` knobs parameterise the resilient engine's failure
+    detector, partition window (:meth:`partition_window`) and
+    retransmission policy (``backoff`` is a
+    :class:`~repro.distsim.reliable.BackoffPolicy` argument tuple).  A
+    spec with the resilient engine is rejected when the retransmit
+    budget's span is shorter than the partition window: revocations
+    could then be abandoned before the heal (docs/robustness.md).
     """
 
     name: str
@@ -332,6 +339,38 @@ class GridSpec:
                 "service_differential_every must be >= 0, got"
                 f" {self.service_differential_every}"
             )
+        if "resilient" in self.engines:
+            span = self.backoff_policy().span()
+            start, end = self.partition_window()
+            if span < end - start:
+                raise ValueError(
+                    f"retransmit budget span {span:.1f} is shorter than the"
+                    f" partition window {end - start:.1f}: revocations could"
+                    " be abandoned before the heal, losing lock symmetry"
+                    " (see docs/robustness.md); raise the backoff budget or"
+                    " shrink the window"
+                )
+
+    # -- resilient engine parameters -----------------------------------
+
+    def backoff_policy(self):
+        """The resilient engine's retransmission policy.
+
+        ``backoff`` holds :class:`~repro.distsim.reliable.BackoffPolicy`
+        arguments; ``None`` means the policy's defaults.
+        """
+        from repro.distsim.reliable import BackoffPolicy
+
+        return BackoffPolicy(*self.backoff) if self.backoff else BackoffPolicy()
+
+    def partition_window(self) -> tuple[float, float]:
+        """A resilient cell's partition/heal cycle ``(start, end)``.
+
+        Long enough for suspicion to fire: the window outlasts
+        ``suspect_after`` by four heartbeats.
+        """
+        start = self.partition_start
+        return (start, start + self.suspect_after + 4.0 * self.heartbeat_interval)
 
     # -- compatibility rules -------------------------------------------
 
@@ -445,8 +484,10 @@ def load_spec(source: "str | Path | Mapping | GridSpec") -> GridSpec:
 
 
 #: Built-in sweep profiles.  ``smoke`` is the CI merge gate (seconds);
-#: ``nightly`` is the scheduled medium-scale sweep; ``faults`` mirrors
-#: the default fault campaign (`python -m repro campaign`).
+#: ``nightly`` is the scheduled medium-scale sweep; ``faults`` is the
+#: 48-cell fault matrix behind A2's campaign table; ``chaos`` is the
+#: chaos-smoke CI gate: eight large adversarial cells, each with 5%
+#: crashes and a partition/heal cycle.
 PROFILES: dict[str, GridSpec] = {
     "smoke": GridSpec(
         name="smoke",
@@ -493,6 +534,20 @@ PROFILES: dict[str, GridSpec] = {
             for cr in (0.0, 0.05)
             for pa in (False, True)
             for by in (0.0, 0.1)
+        ),
+        seeds=(0, 1),
+    ),
+    "chaos": GridSpec(
+        name="chaos",
+        engines=("resilient",),
+        families=("er",),
+        sizes=(500,),
+        quotas=(3,),
+        density=0.15,
+        faults=tuple(
+            FaultSpec(loss=lo, crash=0.05, partition=True, byzantine=by).label()
+            for lo in (0.05, 0.3)
+            for by in (0.0, 0.05)
         ),
         seeds=(0, 1),
     ),

@@ -434,7 +434,12 @@ class DynamicOverlay:
         return ps, self._matching_compact(index)
 
     def total_satisfaction(self) -> float:
-        """Current network-wide satisfaction (eq. 1)."""
+        """Current network-wide satisfaction (eq. 1).
+
+        An overlay whose peers have all left sums over no node: 0.0.
+        """
+        if not self._peers:
+            return 0.0
         ps, matching = self.instance()
         return matching.total_satisfaction(ps)
 

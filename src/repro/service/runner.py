@@ -262,7 +262,7 @@ def run_service(
         "final_n": service.n,
         "final_mode": service.mode,
         "matching_sha": _matching_sha(service),
-        "sat_total": service.total_satisfaction() if service.n else 0.0,
+        "sat_total": service.total_satisfaction(),
         "blocking_edges": final_diff.blocking_edges if final_diff else 0,
         "matches_fresh_solve": (
             final_diff.matches_fresh_solve if final_diff else False

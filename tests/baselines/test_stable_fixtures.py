@@ -1,5 +1,6 @@
 """Tests for the stable-fixtures hybrid solver."""
 
+import numpy as np
 from hypothesis import given, settings
 
 from repro.baselines.stable_fixtures import (
@@ -10,6 +11,23 @@ from repro.baselines.verify import is_stable
 from repro.core.preferences import PreferenceSystem
 
 from repro.testing.strategies import preference_systems, random_ps
+
+
+def random_bipartite(na: int, nb: int, p: float, quota, seed: int) -> PreferenceSystem:
+    """Random bipartite instance; side A = ids 0..na-1."""
+    rng = np.random.default_rng(seed)
+    adj = {i: [] for i in range(na + nb)}
+    for a in range(na):
+        for b in range(na, na + nb):
+            if rng.random() < p:
+                adj[a].append(b)
+                adj[b].append(a)
+    rankings = {}
+    for v in range(na + nb):
+        neigh = list(adj[v])
+        rng.shuffle(neigh)
+        rankings[v] = neigh
+    return PreferenceSystem(rankings, quota)
 
 
 class TestPhase1:
@@ -67,6 +85,14 @@ class TestHybridSolver:
         res = stable_fixtures_matching(ps)
         assert res.matching is not None
         assert res.matching.edge_set() == {(0, 1)}
+
+    def test_bipartite_instance_has_stable_matching(self):
+        """Bipartite instances always have stable matchings (deferred
+        acceptance builds one); the general hybrid must find one."""
+        ps = random_bipartite(5, 5, 0.5, 2, seed=3)
+        res = stable_fixtures_matching(ps)
+        assert res.exists is True
+        assert is_stable(ps, res.matching)
 
     @settings(max_examples=25, deadline=None)
     @given(preference_systems(max_n=6))

@@ -1,10 +1,11 @@
-"""Tests for the grid runner: stores, resume, aggregation, campaign."""
+"""Tests for the grid runner: stores, resume, aggregation, fault cells."""
 
 import json
 
 import pytest
 
 from repro.experiments.aggregate import (
+    NONCANONICAL_FIELDS,
     GridIncompleteError,
     collect_records,
     grid_status,
@@ -12,7 +13,6 @@ from repro.experiments.aggregate import (
     summarise,
     write_report,
 )
-from repro.experiments.campaign import CampaignConfig, run_campaign
 from repro.experiments.grid import (
     GridStore,
     StaleStoreError,
@@ -196,46 +196,38 @@ class TestAggregation:
 
 
 class TestCampaignOnGrid:
-    CONFIG = CampaignConfig(
-        n=20,
-        loss_rates=(0.1,),
-        crash_fracs=(0.0, 0.08),
-        partition=(False,),
-        byzantine_fracs=(0.0,),
+    """Fault-campaign cells through the store and the process pool."""
+
+    SPEC = GridSpec(
+        name="campaign-on-grid",
+        engines=("resilient",),
+        sizes=(20,),
+        quotas=(3,),
+        density=0.15,
+        faults=("loss=0.1", "loss=0.1+crash=0.08"),
         seeds=(0,),
     )
 
-    def test_to_grid_spec_mirrors_cell_order(self):
-        spec = self.CONFIG.to_grid_spec()
-        grid_coords = [(c.fault, c.seed) for c in spec.cells()]
-        assert len(grid_coords) == len(list(self.CONFIG.cells()))
-        assert grid_coords[0][0] == "loss=0.1"
-
     def test_campaign_store_resumes(self, tmp_path):
         store = tmp_path / "campaign"
-        first = run_campaign(self.CONFIG, store=store)
-        assert first.ok
+        first = run_grid(self.SPEC, store=store)
+        assert first.ok and first.executed == 2
         streamed = []
-        second = run_campaign(self.CONFIG, store=store,
-                              progress=streamed.append)
+        second = run_grid(self.SPEC, store=store,
+                          progress=lambda cell, rec: streamed.append(cell))
         assert streamed == []  # fully reused
-        assert [c.label() for c in second.cells] \
-            == [c.label() for c in first.cells]
-        assert [c.satisfaction for c in second.cells] \
-            == [c.satisfaction for c in first.cells]
+        assert second.reused == 2
+        # violation lists and float satisfactions survive the JSON store
+        assert second.records == first.records
 
     def test_campaign_grid_matches_direct_run_cell(self):
-        from repro.experiments.campaign import run_cell
+        def strip(rec):
+            return {k: v for k, v in rec.items()
+                    if not k.endswith("_ms") and k not in NONCANONICAL_FIELDS}
 
-        result = run_campaign(self.CONFIG)
-        direct = [
-            run_cell(self.CONFIG, loss, crash, part, byz, seed)
-            for loss, crash, part, byz, seed in self.CONFIG.cells()
-        ]
-        assert [c.satisfaction for c in result.cells] \
-            == [c.satisfaction for c in direct]
-        assert [c.events for c in result.cells] \
-            == [c.events for c in direct]
+        pooled = run_grid(self.SPEC, workers=2)
+        direct = [run_grid_cell(self.SPEC, c) for c in self.SPEC.cells()]
+        assert [strip(r) for r in pooled.records] == [strip(r) for r in direct]
 
 
 def test_run_grid_cell_is_pure_of_spec_extras():

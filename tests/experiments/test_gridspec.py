@@ -132,6 +132,12 @@ class TestHashing:
         assert tiny_spec(suspect_after=6.0).spec_hash() != base
         assert tiny_spec(name="tiny2").spec_hash() != base
 
+    def test_profile_hashes_are_pinned(self):
+        # the hash keys every stored cell: a changed profile re-keys
+        # every store built from it
+        assert PROFILES["smoke"].spec_hash() == "f67c789955b5"
+        assert PROFILES["faults"].spec_hash() == "8b281565befe"
+
     def test_mapping_roundtrip_preserves_hash(self):
         spec = tiny_spec()
         again = GridSpec.from_mapping(spec.to_mapping())

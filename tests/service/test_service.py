@@ -28,7 +28,7 @@ from repro.service.service import (
     ServiceCorruption,
 )
 from repro.telemetry.sink import canonical_fields
-from repro.utils.validation import InvalidMatchingError
+from repro.utils.validation import InvalidInstanceError, InvalidMatchingError
 
 
 def _small(**over) -> ServiceConfig:
@@ -203,6 +203,16 @@ class TestDegradedLadder:
         assert (svc._partners, len(svc._wcache), list(svc._lists.peers())) == ({}, 0, [])
         report = conformance_check(svc)
         assert (report.n, report.ok) == (0, True)
+
+    def test_emptied_overlay_reports_zero_satisfaction(self):
+        # eq. 1 sums over an empty node set; an instance of no nodes
+        # still does not exist
+        svc = build_service(ServiceConfig(n=3, events=0))
+        for pid in svc.active_ids():
+            svc.leave(pid)
+        assert svc.total_satisfaction() == 0.0
+        with pytest.raises(InvalidInstanceError):
+            svc.instance()
 
     def test_differential_checks_of_an_emptied_overlay(self):
         # both peers leave first, so the sampled checks after them run
