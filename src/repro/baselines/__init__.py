@@ -2,8 +2,8 @@
 
 - :mod:`repro.baselines.exact` — the true optima (MILP / gadget / brute
   force) that approximation ratios are measured against,
-- :mod:`repro.baselines.greedy` — global greedy, random-order greedy and
-  path-growing comparators,
+- :mod:`repro.baselines.greedy` — random-order greedy (the weight-blind
+  control of F1),
 - :mod:`repro.baselines.acyclic` — best-response dynamics (Gai et al.),
 - :mod:`repro.baselines.stable_fixtures` — certified stable-fixtures
   hybrid solver (Irving & Scott),
@@ -12,7 +12,6 @@
 """
 
 from repro.baselines.acyclic import BestResponseResult, best_response_dynamics
-from repro.baselines.blossom import blossom_mwm, max_weight_matching_blossom
 from repro.baselines.exact import (
     brute_force_bmatching,
     max_satisfaction_bmatching_milp,
@@ -22,11 +21,7 @@ from repro.baselines.exact import (
     optimal_weight,
 )
 from repro.baselines.local_search import LocalSearchResult, local_search_bmatching
-from repro.baselines.greedy import (
-    global_greedy_matching,
-    path_growing_matching,
-    random_order_greedy,
-)
+from repro.baselines.greedy import random_order_greedy
 from repro.baselines.random_matching import random_bmatching
 from repro.baselines.stable_roommates import StableRoommatesResult, stable_roommates
 from repro.baselines.stable_fixtures import (
@@ -45,8 +40,6 @@ from repro.baselines.verify import (
 
 __all__ = [
     "BestResponseResult",
-    "blossom_mwm",
-    "max_weight_matching_blossom",
     "best_response_dynamics",
     "brute_force_bmatching",
     "max_satisfaction_bmatching_milp",
@@ -56,8 +49,6 @@ __all__ = [
     "optimal_weight",
     "LocalSearchResult",
     "local_search_bmatching",
-    "global_greedy_matching",
-    "path_growing_matching",
     "random_order_greedy",
     "random_bmatching",
     "StableRoommatesResult",

@@ -19,8 +19,8 @@ T2, F3) we need the true optima:
 - :func:`max_weight_bmatching_gadget` — an independent exact method:
   the classical node-splitting reduction of simple b-matching to 1–1
   maximum weight matching (solved with networkx's blossom
-  implementation).  Used as a cross-check of the MILP on small
-  instances; pure-Python blossom is too slow beyond that.
+  implementation).  It only cross-checks the MILP on small instances;
+  pure-Python blossom is too slow beyond that.
 - :func:`brute_force_bmatching` — exhaustive search over edge subsets
   for tiny instances; the ground truth both exact methods are tested
   against.
@@ -176,9 +176,7 @@ def max_satisfaction_bmatching_milp(ps: PreferenceSystem) -> Matching:
     return matching
 
 
-def max_weight_bmatching_gadget(
-    wt: WeightTable, quotas: Sequence[int], engine: str = "blossom"
-) -> Matching:
+def max_weight_bmatching_gadget(wt: WeightTable, quotas: Sequence[int]) -> Matching:
     """Exact b-matching via node-splitting reduction to 1–1 matching.
 
     For each node ``v`` create copies ``v_1..v_{b_v}``; for each edge
@@ -193,11 +191,7 @@ def max_weight_bmatching_gadget(
     contributes ``w_e`` if unused (via ``u_e—v_e``) and ``2 w_e`` if used
     (both outer edges), so the optimum equals ``Σ_e w_e + OPT_bmatching``.
     Edge ``e`` is read off as used when *both* outer sides are matched.
-
-    ``engine`` selects the 1–1 matcher: ``"blossom"`` (default) uses the
-    in-tree implementation (:mod:`repro.baselines.blossom`);
-    ``"networkx"`` keeps the third-party solver available as an
-    independent oracle for the cross-check tests.
+    The 1–1 gadget graph is solved by :func:`networkx.max_weight_matching`.
     """
     n = wt.n
     # build the gadget over integer-labelled nodes
@@ -222,21 +216,14 @@ def max_weight_bmatching_gadget(
             gadget_edges.append((ve, nid(("copy", j, l)), w))
 
     copy_ids = {labels[lab] for lab in labels if lab[0] == "copy"}
-    if engine == "blossom":
-        from repro.baselines.blossom import blossom_mwm
-
-        mate = blossom_mwm(gadget_edges, len(labels))
-    elif engine == "networkx":
-        G = nx.Graph()
-        G.add_nodes_from(range(len(labels)))
-        for a, b, w in gadget_edges:
-            G.add_edge(a, b, weight=w)
-        mate = [-1] * len(labels)
-        for a, b in nx.max_weight_matching(G, maxcardinality=False):
-            mate[a] = b
-            mate[b] = a
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    G = nx.Graph()
+    G.add_nodes_from(range(len(labels)))
+    for a, b, w in gadget_edges:
+        G.add_edge(a, b, weight=w)
+    mate = [-1] * len(labels)
+    for a, b in nx.max_weight_matching(G, maxcardinality=False):
+        mate[a] = b
+        mate[b] = a
 
     chosen = []
     for i, j in wt.edges():

@@ -1,18 +1,11 @@
-"""Greedy and maximal-matching baselines.
+"""Greedy baseline: random-order maximal b-matching.
 
-- :func:`global_greedy_matching` — the textbook global greedy: scan all
-  edges by decreasing weight, select when both endpoints have residual
-  quota.  For b-matchings this coincides with LIC's sorted-scan
-  execution (the globally heaviest pool edge is always locally
-  heaviest), which is itself an instructive reproduction point: the
-  paper's *distributed* algorithm computes exactly what the obvious
-  centralised greedy computes, with only local communication.
-- :func:`random_order_greedy` — maximal feasible matching in a uniformly
-  random edge order: keeps the "maximal" structure but ignores weights;
-  the gap to LIC isolates the value of weight-ordering.
-- :func:`path_growing_matching` — Drake–Hougardy path-growing
-  ½-approximation for the 1–1 special case; an independent linear-time
-  comparator from the distributed-matching literature the paper cites.
+:func:`random_order_greedy` builds a maximal feasible matching in a
+uniformly random edge order: it keeps the "maximal" structure but
+ignores weights, so the gap to LIC isolates the value of
+weight-ordering.  The weight-ordered global greedy needs no separate
+baseline — it is exactly LIC's sorted-scan execution
+(:func:`repro.core.lic.lic_matching`).
 """
 
 from __future__ import annotations
@@ -21,20 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.lic import lic_matching
 from repro.core.matching import Matching
 from repro.core.weights import WeightTable
 
-__all__ = [
-    "global_greedy_matching",
-    "random_order_greedy",
-    "path_growing_matching",
-]
-
-
-def global_greedy_matching(wt: WeightTable, quotas: Sequence[int]) -> Matching:
-    """Global greedy max-weight b-matching (≡ LIC sorted-scan execution)."""
-    return lic_matching(wt, quotas)
+__all__ = ["random_order_greedy"]
 
 
 def random_order_greedy(
@@ -56,67 +39,4 @@ def random_order_greedy(
             matching.add(a, b)
             residual[a] -= 1
             residual[b] -= 1
-    return matching
-
-
-def path_growing_matching(wt: WeightTable) -> Matching:
-    """Drake–Hougardy path-growing algorithm (1–1 matchings only).
-
-    Grows node-disjoint paths by repeatedly following the heaviest
-    remaining edge from the current endpoint, alternately assigning the
-    traversed edges to two candidate matchings ``M1``/``M2``; returns
-    the heavier of the two.  Guarantees weight ≥ ½ · optimum for 1–1
-    matchings in linear time.
-
-    Raises if any node would need quota > 1 (the algorithm is defined
-    for ordinary matchings; the paper's LIC/LID generalise it to
-    quotas, which is part of the contribution).
-    """
-    n = wt.n
-    # adjacency with removal
-    alive: list[dict[int, float]] = [dict() for _ in range(n)]
-    for (i, j), w in wt.items():
-        alive[i][j] = w
-        alive[j][i] = w
-    m1: list[tuple[int, int]] = []
-    m2: list[tuple[int, int]] = []
-    w1 = w2 = 0.0
-
-    in_path = [False] * n
-    for start in range(n):
-        if in_path[start] or not alive[start]:
-            continue
-        x = start
-        side = 0
-        while alive[x]:
-            # heaviest remaining edge at x (ties by id for determinism)
-            y = max(alive[x], key=lambda v: (alive[x][v], -v))
-            w = alive[x][y]
-            if side == 0:
-                m1.append((x, y))
-                w1 += w
-            else:
-                m2.append((x, y))
-                w2 += w
-            side ^= 1
-            # remove x from the graph
-            for v in list(alive[x]):
-                del alive[v][x]
-            alive[x].clear()
-            in_path[x] = True
-            x = y
-        in_path[x] = True
-
-    chosen = m1 if w1 >= w2 else m2
-    # the alternating construction can still pair a node twice across
-    # different paths' first edges? No: nodes are removed as paths grow,
-    # so each node appears in at most one path; within a path the
-    # alternation keeps each side node-disjoint.
-    matching = Matching(n)
-    used = [False] * n
-    for i, j in chosen:
-        if used[i] or used[j]:
-            continue  # defensive: skip rather than crash
-        matching.add(i, j)
-        used[i] = used[j] = True
     return matching

@@ -10,9 +10,7 @@ Structured verification (feasibility, locality, satisfaction
 recomputation, eq.-9 consistency, theorem bounds) lives in
 :mod:`repro.testing.oracles`; :func:`check_matching` and
 :func:`stability_report` are the entry points here and return typed
-:class:`~repro.testing.oracles.OracleReport` objects.  The historical
-boolean-only certifier :func:`verify_matching` is kept as a deprecated
-shim over the oracle layer.
+:class:`~repro.testing.oracles.OracleReport` objects.
 
 Definitions (Irving & Scott [7], Cechlárová & Fleiner [1]):
 a pair ``(i, j) ∈ E \\ M`` *blocks* matching ``M`` when both endpoints
@@ -23,9 +21,9 @@ least one current partner.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
+from repro.core.analysis import weighted_blocking_edges
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceSystem
 from repro.core.weights import WeightTable
@@ -38,7 +36,6 @@ __all__ = [
     "count_weighted_blocking_pairs",
     "check_matching",
     "stability_report",
-    "verify_matching",
 ]
 
 Edge = tuple[int, int]
@@ -61,7 +58,11 @@ def blocking_pairs(ps: PreferenceSystem, matching: Matching) -> list[Edge]:
     comparison against hoisted per-node state (spare flag + worst held
     rank) instead of a partner-set scan per pair — the per-pair cost
     that used to dominate verification on large truncation sweeps.
+    Raises :class:`ValueError` for a matching over another number of
+    nodes.
     """
+    if matching.n != ps.n:
+        raise ValueError(f"matching over {matching.n} nodes, instance has {ps.n}")
     n = ps.n
     spare = [False] * n
     worst = [-1] * n  # max rank among current partners; -1 when unmatched
@@ -99,29 +100,15 @@ def weighted_blocking_pairs(
     stable, Theorem 3), the converged LID/LIC matching is exactly stable
     here: locally dominant selection leaves no weight-blocking pair, so
     this count is 0 iff a truncated run has reached the fixpoint — the
-    measure the truncation CI gate pins at ``k=∞``.
+    measure the truncation CI gate pins at ``k=∞``.  The rule is
+    :func:`repro.core.analysis.weighted_blocking_edges` with ``ps``'s
+    quotas.
     """
     if wt.n != ps.n:
         raise ValueError(
             f"weight table sized for {wt.n} nodes but instance has {ps.n}"
         )
-    n = ps.n
-    spare = [False] * n
-    lightest = [None] * n  # min edge key among current partners
-    for v in range(n):
-        conns = matching.connections(v)
-        if len(conns) < ps.quota(v):
-            spare[v] = True
-        if conns:
-            lightest[v] = min(wt.key(v, c) for c in conns)
-    out = []
-    for i, j in ps.edges():
-        if matching.has_edge(i, j):
-            continue
-        k = wt.key(i, j)
-        if (spare[i] or k > lightest[i]) and (spare[j] or k > lightest[j]):
-            out.append((i, j))
-    return out
+    return weighted_blocking_edges(wt, ps.quotas, matching)
 
 
 def count_weighted_blocking_pairs(
@@ -181,19 +168,3 @@ def stability_report(ps: PreferenceSystem, matching: Matching):
         ))
     return report
 
-
-def verify_matching(ps: PreferenceSystem, matching: Matching) -> bool:
-    """Deprecated boolean certifier — use :func:`check_matching`.
-
-    Returns ``True`` iff the matching passes the oracle battery (quota,
-    locality, mutual consistency, satisfaction recomputation).  Kept so
-    pre-conformance callers keep working; the boolean discards the
-    violation records that say *what* failed.
-    """
-    warnings.warn(
-        "verify_matching() is deprecated; use check_matching() for the "
-        "structured OracleReport",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return check_matching(ps, matching).ok

@@ -16,6 +16,7 @@ certifier from this module.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro.core.matching import Matching
@@ -34,6 +35,17 @@ __all__ = [
 
 Edge = tuple[int, int]
 
+# above every edge key (w, i, j), whose weight w is finite
+_TAKES_NOTHING = (math.inf,)
+
+
+def _check_sizes(wt: WeightTable, quotas: Sequence[int], matching: Matching) -> None:
+    """Raise :class:`ValueError` unless ``quotas`` and ``matching`` span ``wt.n`` nodes."""
+    if matching.n != wt.n:
+        raise ValueError(f"matching over {matching.n} nodes, weight table has {wt.n}")
+    if len(quotas) != wt.n:
+        raise ValueError(f"{len(quotas)} quotas for a weight table over {wt.n} nodes")
+
 
 def weighted_blocking_edges(
     wt: WeightTable, quotas: Sequence[int], matching: Matching
@@ -44,19 +56,26 @@ def weighted_blocking_edges(
     it: endpoint ``v`` takes it if ``v`` has residual quota, or its
     lightest matched edge has a smaller key than ``(i, j)``.  A greedy
     (LIC/LID) output has no blocking edges — this is the checkable form
-    of Lemma 4 / Lemma 6.
+    of Lemma 4 / Lemma 6.  Each full node's lightest key is computed
+    once, so a candidate edge costs two comparisons.  Edges come in
+    ``wt.edges()`` order.  Raises :class:`ValueError` when ``quotas`` or
+    ``matching`` span another number of nodes than ``wt``.
     """
-
-    def wants(v: int, u: int) -> bool:
+    _check_sizes(wt, quotas, matching)
+    # per node: None with spare quota (takes any edge), else the key an
+    # edge must beat (_TAKES_NOTHING for a quota-0 node)
+    floor: list = [None] * wt.n
+    for v in range(wt.n):
         conns = matching.connections(v)
-        if len(conns) < quotas[v]:
-            return True
-        key = wt.key(v, u)
-        return any(wt.key(v, c) < key for c in conns)
-
+        if len(conns) >= quotas[v]:
+            floor[v] = min((wt.key(v, c) for c in conns), default=_TAKES_NOTHING)
     out = []
     for i, j in wt.edges():
-        if not matching.has_edge(i, j) and wants(i, j) and wants(j, i):
+        if matching.has_edge(i, j):
+            continue
+        k = wt.key(i, j)
+        fi, fj = floor[i], floor[j]
+        if (fi is None or k > fi) and (fj is None or k > fj):
             out.append((i, j))
     return out
 
@@ -70,7 +89,10 @@ def greedy_certificate(
     weighted blocking edge.  Every LIC/LID output must pass; the
     certificate is also *sufficient* for the ½ weight bound (the
     standard charging argument of Theorem 2 only uses this property).
+    Raises :class:`ValueError` when ``quotas`` or ``matching`` span
+    another number of nodes than ``wt``.
     """
+    _check_sizes(wt, quotas, matching)
     for v in range(wt.n):
         if matching.degree(v) > quotas[v]:
             return False

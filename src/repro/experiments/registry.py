@@ -63,8 +63,6 @@ EXPERIMENTS: tuple[Experiment, ...] = (
                "§7", "benchmarks/bench_a6_variants.py"),
     Experiment("p1", "vectorised kernels (engineering)",
                "—", "benchmarks/bench_p1_vectorised_kernels.py"),
-    Experiment("p2", "from-scratch blossom vs networkx (engineering)",
-               "ref [2]", "benchmarks/bench_p2_blossom.py"),
     Experiment("p3", "array-backed fast LIC backend ≥5x (engineering)",
                "—", "benchmarks/bench_p3_fast_backend.py"),
     Experiment("p4", "round-batched fast LID engine ≥10x, bit-identical"

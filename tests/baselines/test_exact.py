@@ -124,19 +124,3 @@ class TestHelpers:
         wt = WeightTable({(0, 1): 2.0, (1, 2): 3.0, (2, 3): 2.0}, 4)
         assert optimal_weight(wt, [1, 1, 1, 1]) == pytest.approx(4.0)
 
-
-class TestGadgetEngines:
-    @settings(max_examples=10, deadline=None)
-    @given(weighted_instances(max_n=6))
-    def test_blossom_engine_equals_networkx_engine(self, inst):
-        wt, quotas = inst
-        if wt.m == 0 or wt.m > 12:
-            return
-        a = max_weight_bmatching_gadget(wt, quotas, engine="blossom")
-        b = max_weight_bmatching_gadget(wt, quotas, engine="networkx")
-        assert a.total_weight(wt) == pytest.approx(b.total_weight(wt))
-
-    def test_unknown_engine(self):
-        wt = WeightTable({(0, 1): 1.0}, 2)
-        with pytest.raises(ValueError, match="unknown engine"):
-            max_weight_bmatching_gadget(wt, [1, 1], engine="magic")

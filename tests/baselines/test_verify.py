@@ -116,6 +116,25 @@ class TestWeightedBlockingPairs:
             weighted_blocking_pairs(ps, Matching(ps.n), wt)
 
 
+class TestMatchingSize:
+    """A matching over another number of nodes is refused, not scored."""
+
+    @pytest.mark.parametrize("delta", [3, -3])
+    def test_rejected_by_both_notions(self, delta):
+        from repro.core.lic import lic_matching
+        from repro.core.weights import satisfaction_weights
+        from repro.testing.strategies import random_ps
+
+        ps = random_ps(8, 0.6, 2, seed=3)
+        wt = satisfaction_weights(ps)
+        lic = lic_matching(wt, ps.quotas)
+        other = Matching(ps.n + delta, lic.edges() if delta > 0 else ())
+        with pytest.raises(ValueError, match=f"instance has {ps.n}"):
+            blocking_pairs(ps, other)
+        with pytest.raises(ValueError, match=f"weight table has {ps.n}"):
+            weighted_blocking_pairs(ps, other, wt)
+
+
 class TestIsStable:
     def test_infeasible_never_stable(self, small_ps):
         overfull = Matching(5, [(0, 1), (0, 2)])  # b_0 = 1

@@ -34,6 +34,41 @@ class TestBounds:
             theorem3_bound(-1)
 
 
+class TestCertificateSizes:
+    """The certificates refuse inputs that span another number of nodes."""
+
+    @pytest.fixture
+    def solved(self):
+        from repro.core.lic import lic_matching
+        from repro.core.weights import satisfaction_weights
+        from repro.testing.strategies import random_ps
+
+        ps = random_ps(8, 0.6, 2, seed=3)
+        wt = satisfaction_weights(ps)
+        return wt, list(ps.quotas), lic_matching(wt, ps.quotas)
+
+    @pytest.mark.parametrize("certificate", ["weighted_blocking_edges", "greedy_certificate"])
+    @pytest.mark.parametrize("delta", [3, -3])
+    def test_matching_size_rejected(self, solved, certificate, delta):
+        from repro.core import analysis
+        from repro.core.matching import Matching
+
+        wt, quotas, lic = solved
+        other = Matching(wt.n + delta, lic.edges() if delta > 0 else ())
+        with pytest.raises(ValueError, match=f"matching over {wt.n + delta} nodes, "
+                           f"weight table has {wt.n}"):
+            getattr(analysis, certificate)(wt, quotas, other)
+
+    @pytest.mark.parametrize("certificate", ["weighted_blocking_edges", "greedy_certificate"])
+    def test_short_quotas_rejected(self, solved, certificate):
+        from repro.core import analysis
+
+        wt, quotas, lic = solved
+        with pytest.raises(ValueError, match=f"{wt.n - 2} quotas for a weight "
+                           f"table over {wt.n} nodes"):
+            getattr(analysis, certificate)(wt, quotas[:-2], lic)
+
+
 class TestRatio:
     def test_normal(self):
         assert approximation_ratio(1.0, 2.0) == 0.5

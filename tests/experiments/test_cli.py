@@ -216,7 +216,7 @@ class TestRegistry:
 
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "t1" in out and "f6" in out and "p2" in out
+        assert "t1" in out and "f6" in out and "p4" in out
 
     def test_registry_lookup(self):
         from repro.experiments.registry import EXPERIMENTS, get_experiment

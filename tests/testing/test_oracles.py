@@ -1,6 +1,5 @@
 """The oracle battery: clean matchings pass, every corruption is typed."""
 
-import pytest
 from hypothesis import given, settings
 
 from repro.core.lic import lic_matching, solve_modified_bmatching
@@ -155,13 +154,6 @@ class TestVerifyShim:
 
         matching, wt = _solved(small_ps)
         assert check_matching(small_ps, matching, wt=wt).ok
-
-    def test_boolean_shim_deprecated(self, small_ps):
-        from repro.baselines.verify import verify_matching as shim
-
-        matching, _ = _solved(small_ps)
-        with pytest.warns(DeprecationWarning, match="check_matching"):
-            assert shim(small_ps, matching) is True
 
     def test_stability_report_counts_blocking_pairs(self, triangle_ps):
         from repro.baselines.verify import stability_report
