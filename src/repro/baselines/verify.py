@@ -161,6 +161,8 @@ def stability_report(ps: PreferenceSystem, matching: Matching):
     report.extend(check_edge_locality(ps, matching))
     report.extend(check_mutual_consistency(ps, matching))
     report.checks_run.append("stability")
+    if matching.n != ps.n:
+        return report  # the checks above report it; ranks are undefined
     for pair in blocking_pairs(ps, matching):
         report.violations.append(Violation(
             check="stability", subject=pair,

@@ -22,7 +22,7 @@ Entry point (installed via ``python -m repro``):
 - ``python -m repro churn --n 50 --events 20``      — a churn session
   with exact incremental repair;
 - ``python -m repro serve --n 100 --events 200``    — the long-lived
-  self-healing matching service: workload replay with budgeted
+  self-healing matching service: workload replay with exact
   incremental repair, crash-consistent checkpoints, runtime invariant
   guards and sampled differential conformance checks; ``--smoke`` is
   the service-smoke CI gate (kill-and-resume bit-identity + zero
@@ -357,12 +357,14 @@ def _cmd_churn(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.service import ServiceConfig, kill_and_resume_check, run_service
+    from repro.service import CheckpointError, ServiceConfig, kill_and_resume_check, run_service
 
     smoke = args.smoke
     try:
         if args.resume and args.checkpoint is None:
             raise ValueError("--resume requires --checkpoint DIR")
+        if args.kill_after is not None and args.kill_after < 0:
+            raise ValueError(f"--kill-after must be >= 0, got {args.kill_after}")
         config = ServiceConfig(
             n=args.n if args.n is not None else (500 if smoke else 100),
             quota=args.quota,
@@ -370,8 +372,6 @@ def _cmd_serve(args) -> int:
             seed=args.seed,
             events=args.events if args.events is not None else 200,
             workload=args.workload,
-            repair_budget=args.budget,
-            on_budget=args.on_budget,
             checkpoint_every=args.checkpoint_every,
             differential_every=args.differential_every,
         )
@@ -403,12 +403,18 @@ def _cmd_serve(args) -> int:
         print("service-smoke PASS" if ok else "service-smoke FAIL")
         return 0 if ok else 1
 
-    result = run_service(
-        config,
-        checkpoint_dir=args.checkpoint,
-        resume=args.resume,
-        kill_after=args.kill_after,
-    )
+    try:
+        result = run_service(
+            config,
+            checkpoint_dir=args.checkpoint,
+            resume=args.resume,
+            kill_after=args.kill_after,
+        )
+    except CheckpointError as exc:
+        # raised before any event is applied: no checkpoint in DIR pins
+        # this run, so --resume has nothing to restore
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     r = result.report
     print(f"service: {config.workload} x{r['trace_events']} events on"
           f" n={config.n} {config.family} (trace {r['trace_fingerprint']})")
@@ -419,7 +425,6 @@ def _cmd_serve(args) -> int:
           f" {r['crashes']} crashes / {r['updates']} updates"
           f" ({r['skipped']} skipped)")
     print(f"repair: {r['resolutions']} resolutions,"
-          f" {r['truncated_repairs']} truncated,"
           f" {r['full_resolves']} full re-solves,"
           f" cache {r['weights_reused']} reused /"
           f" {r['weights_recomputed']} recomputed")
@@ -587,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="long-lived matching service: churn workload replay with"
-             " budgeted incremental repair, crash-consistent checkpoints"
+             " exact incremental repair, crash-consistent checkpoints"
              " and runtime invariant guards",
     )
     from repro.experiments.gridspec import SERVICE_WORKLOADS
@@ -605,14 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-peer connection quota b_i")
     p.add_argument("--family", choices=sorted(FAMILIES), default="geo",
                    help="initial-topology family")
-    p.add_argument("--budget", type=int, default=None,
-                   help="max blocking-edge resolutions per incremental"
-                        " repair (default: unbounded, exact LIC fixpoint)")
-    p.add_argument("--on-budget", choices=["resolve", "defer"],
-                   default="resolve",
-                   help="when a repair truncates: full re-solve (exact)"
-                        " or serve the feasible truncated matching"
-                        " (almost-stable)")
     p.add_argument("--differential-every", type=int, default=50,
                    help="conformance-check the served state against a"
                         " from-scratch solve every K events (0 = only at"

@@ -359,11 +359,11 @@ def _run_churn(spec: GridSpec, cell: GridCell, tel=NULL) -> dict:
 def _run_service(spec: GridSpec, cell: GridCell, tel=NULL) -> dict:
     """The long-lived ``lid-service`` engine: replay a churn workload.
 
-    ``cell.churn`` is the trace length; workload shape, repair budget
-    and differential-check cadence come from the spec's ``service_*``
+    ``cell.churn`` is the trace length; workload shape and
+    differential-check cadence come from the spec's ``service_*``
     knobs.  A cell is healthy when the trace completes and every
-    sampled differential check conforms (exactly, or within the
-    documented truncation-debt bound in deferred-budget setups).
+    sampled differential check conforms exactly: the served matching is
+    the fresh solve's, with no blocking edge and no oracle violation.
     """
     from repro.service import ServiceConfig, run_service
 
@@ -374,7 +374,6 @@ def _run_service(spec: GridSpec, cell: GridCell, tel=NULL) -> dict:
         seed=cell.seed,
         events=cell.churn,
         workload=spec.service_workload,
-        repair_budget=spec.service_budget,
         differential_every=spec.service_differential_every,
     )
     record = dict(run_service(config, telemetry=tel).report)

@@ -264,7 +264,6 @@ class GridSpec:
     partition_start: float = 3.0
     backoff: Optional[tuple] = None
     service_workload: str = "poisson"
-    service_budget: Optional[int] = None
     service_differential_every: int = 50
 
     def __post_init__(self):
@@ -329,10 +328,6 @@ class GridSpec:
             raise ValueError(
                 f"unknown service workload {self.service_workload!r};"
                 f" known: {SERVICE_WORKLOADS}"
-            )
-        if self.service_budget is not None and self.service_budget < 0:
-            raise ValueError(
-                f"service_budget must be >= 0, got {self.service_budget}"
             )
         if self.service_differential_every < 0:
             raise ValueError(

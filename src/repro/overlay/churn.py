@@ -68,10 +68,6 @@ class RepairStats:
         of being recomputed.
     weights_recomputed:
         Eq.-9 edge weights actually recomputed for this event.
-    truncated:
-        The repair stopped because its ``budget`` ran out before the
-        no-blocking-edge fixpoint was reached (the caller decides
-        whether to full-re-solve or serve the almost-stable state).
     """
 
     resolutions: int = 0
@@ -79,7 +75,6 @@ class RepairStats:
     edges_scanned: int = 0
     weights_reused: int = 0
     weights_recomputed: int = 0
-    truncated: bool = False
 
 
 class WeightCache:
@@ -185,7 +180,6 @@ def greedy_repair(
     quota: Callable[[int], int],
     partners: dict[int, set[int]],
     dirty: set[int],
-    budget: Optional[int] = None,
 ) -> RepairStats:
     """Restore the no-weighted-blocking-edge fixpoint from a local change.
 
@@ -224,14 +218,12 @@ def greedy_repair(
       raises :class:`~repro.utils.validation.InvalidMatchingError`, not
       a bare ``KeyError``.  Churn never produces one: a leave drops the
       leaver's partnerships before the repair runs.
-    - ``budget`` caps the number of resolutions: when it runs out the
-      repair returns the current *feasible* (but possibly still
-      blocking-edge-carrying) matching with ``stats.truncated`` set,
-      instead of raising — the almost-stable degraded mode of
-      Floréen et al. that the service trades against a full re-solve.
+    - The repair always runs to the no-blocking-edge fixpoint: the
+      unique LIC matching of the current weights, given that every
+      blocking edge starts at a dirty node.  A run past ``_MAX_STEPS``
+      resolutions would break the potential argument and raises
+      :class:`~repro.utils.validation.ProtocolError`.
     """
-    if budget is not None and budget < 0:
-        raise InvalidInstanceError(f"repair budget must be >= 0, got {budget}")
     stats = RepairStats()
     key, neighbours = wt.key, wt.neighbors
     # bar[v]: the key an edge at v must beat for v to take it — below
@@ -274,11 +266,6 @@ def greedy_repair(
         k = (-nw, i, j)
         if j in partners[i] or not (bar_of(i) < k and bar_of(j) < k):
             continue  # resolved or outbid since it was pushed
-        if budget is not None and stats.resolutions >= budget:
-            # a blocking edge remains but the budget is spent: stop with
-            # a feasible almost-stable matching instead of raising
-            stats.truncated = True
-            break
         rescan = []
         for v in (i, j):
             lightest = bar_of(v)
@@ -330,10 +317,6 @@ class DynamicOverlay:
     topology, peers, metric:
         As for :func:`repro.overlay.builder.build_preference_system`.
     """
-
-    #: resolutions one repair may make before it stops truncated
-    #: (``None``: every repair runs to the fixpoint)
-    repair_budget: Optional[int] = None
 
     def __init__(
         self,
@@ -521,13 +504,7 @@ class DynamicOverlay:
             seed.update(self._adj.get(pid, ()))
         reused, recomputed = self._wcache.refresh(changed)
         region = {pid for pid in seed if pid in self._peers}
-        stats = greedy_repair(
-            self._wcache,
-            self._lists.quota,
-            self._partners,
-            region,
-            budget=self.repair_budget,
-        )
+        stats = greedy_repair(self._wcache, self._lists.quota, self._partners, region)
         stats.weights_reused = reused
         stats.weights_recomputed = recomputed
         self._check_region(region)

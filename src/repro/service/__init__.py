@@ -10,16 +10,19 @@ through that churn:
   storms built on :mod:`repro.distsim.failures` schedules);
 - :mod:`repro.service.service` — :class:`MatchingService`, the
   long-lived engine: per churn event it recomputes only the affected
-  region (budgeted :func:`~repro.overlay.churn.greedy_repair`
-  warm-started from the surviving matching, weights served from the
-  incremental :class:`~repro.overlay.churn.WeightCache`) and falls back
-  to a full re-solve only when the repair budget or an invariant trips;
+  region (:func:`~repro.overlay.churn.greedy_repair` warm-started from
+  the surviving matching and run to its fixpoint, weights served from
+  the incremental :class:`~repro.overlay.churn.WeightCache`), so every
+  served matching is the LIC matching; it falls back to a full re-solve
+  only when an invariant trips;
 - :mod:`repro.service.guards` — runtime invariant guards (capacity,
   mutual consent, eq.-9 weight consistency) that demote the service to
   a degraded full-re-solve mode instead of serving a corrupt matching;
 - :mod:`repro.service.checkpoint` — crash-consistent versioned
-  snapshots of (matching, weight cache, event cursor): a killed service
-  resumes and replays to a state bit-identical to an uninterrupted run;
+  snapshots of the peers, adjacency, partners, counters and ladder
+  position at an event cursor: a killed service rebuilds its ranked
+  lists and weight cache from them and replays to a state
+  bit-identical to an uninterrupted run;
 - :mod:`repro.service.differential` — the conformance harness checking
   every repaired state against a from-scratch
   :func:`~repro.core.lid.solve_lid` on the same live instance;

@@ -9,7 +9,7 @@ self-describing::
       "seq": 120,
       "state": { … },              # MatchingService.snapshot()
       "state_hash": "…64 hex…",    # sha256 of the state's bytes
-      "version": 3
+      "version": 4
     }
 
 The state is stored in canonical compact form,
@@ -33,7 +33,10 @@ Restores are paranoid: the version must match, the fingerprint must
 match (a service can never resume one run and silently replay a
 different one), and the state hash must match the re-serialised state.
 Version 3 dropped the derived eq.-9 weight cache from the state (a
-restore rebuilds it), so files of earlier versions are refused.
+restore rebuilds it); version 4 dropped the deferred-repair debt and
+its counter, since every repair now runs to the LIC fixpoint.  Files
+of earlier versions are refused, so a version-3 file whose partners a
+deferred repair left short of LIC is never resumed.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ __all__ = [
     "write_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 _NAME_RE = re.compile(r"^checkpoint-(\d{8})\.json$")
 

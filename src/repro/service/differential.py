@@ -12,13 +12,9 @@ check it, at any moment, against a from-scratch authority:
 4. re-solve the instance with :func:`~repro.core.lid.solve_lid` and
    compare edge sets.
 
-In the default ``on_budget="resolve"`` regime the served matching must
-equal the from-scratch LIC/LID matching *exactly* (uniqueness, Lemma 2)
-and have zero blocking edges.  In the deferred regime
-(``on_budget="defer"``) a budget-truncated repair legitimately leaves a
-bounded blocking-edge residue until the next full sync — the report
-then records the gap instead of failing, as long as the matching is
-feasible and the truncation debt is actually outstanding.
+Every repair runs to its fixpoint, so the served matching must equal
+the from-scratch LIC/LID matching *exactly* (uniqueness, Lemma 2), have
+zero blocking edges and pass every oracle; any gap fails the check.
 """
 
 from __future__ import annotations
@@ -47,19 +43,15 @@ class DifferentialReport:
     matches_fresh_solve: bool = True
     missing_edges: int = 0
     extra_edges: int = 0
-    truncation_debt: int = 0
 
     @property
     def ok(self) -> bool:
-        """Exact conformance, or a truncation-explained bounded gap."""
-        if self.oracle_violations:
-            return False
-        if self.matches_fresh_solve and self.blocking_edges == 0:
-            return True
-        # a gap is acceptable only while deferred-truncation debt is
-        # outstanding — and a budget of b resolutions skipped per
-        # truncated repair bounds the residue
-        return self.truncation_debt > 0
+        """No oracle violation, the fresh solve's edge set and no blocking edge."""
+        return (
+            not self.oracle_violations
+            and self.matches_fresh_solve
+            and self.blocking_edges == 0
+        )
 
 
 def conformance_check(service) -> DifferentialReport:
@@ -87,5 +79,4 @@ def conformance_check(service) -> DifferentialReport:
     report.missing_edges = len(authority - served)
     report.extra_edges = len(served - authority)
     report.matches_fresh_solve = served == authority
-    report.truncation_debt = getattr(service, "truncated_since_sync", 0)
     return report

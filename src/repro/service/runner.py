@@ -37,7 +37,7 @@ from repro.service.checkpoint import (
 )
 from repro.service.differential import DifferentialReport, conformance_check
 from repro.service.events import WORKLOADS, WorkloadTrace, make_trace
-from repro.service.service import MatchingService, validate_policy
+from repro.service.service import MatchingService
 from repro.telemetry.sink import canonical_fields
 from repro.utils.rng import spawn_rng
 
@@ -60,8 +60,6 @@ class ServiceConfig:
     seed: int = 0
     events: int = 200
     workload: str = "poisson"
-    repair_budget: Optional[int] = None
-    on_budget: str = "resolve"
     checkpoint_every: int = 25
     differential_every: int = 50
 
@@ -80,7 +78,6 @@ class ServiceConfig:
             )
         if self.events < 0:
             raise ValueError(f"events must be >= 0, got {self.events}")
-        validate_policy(self.repair_budget, self.on_budget)
         if self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
@@ -114,9 +111,8 @@ def _run_fingerprint(config: ServiceConfig, trace_fingerprint: str) -> str:
     """12-hex digest pinning a run's checkpoints to that run.
 
     It covers the trace plus every config field that shapes the served
-    state.  Configs that share a trace but differ in ``n``, ``quota``,
-    ``family`` or repair policy therefore never restore each other's
-    checkpoints.
+    state.  Configs that share a trace but differ in ``n``, ``quota`` or
+    ``family`` therefore never restore each other's checkpoints.
     """
     pinned = {k: v for k, v in asdict(config).items() if k not in _CADENCE_FIELDS}
     canon = json.dumps([trace_fingerprint, pinned], sort_keys=True, separators=(",", ":"))
@@ -139,13 +135,7 @@ def build_service(config: ServiceConfig) -> MatchingService:
     peers = generate_peers(
         config.n, rng, quota_range=(config.quota, config.quota)
     )
-    return MatchingService(
-        topology,
-        peers,
-        config.metric(),
-        repair_budget=config.repair_budget,
-        on_budget=config.on_budget,
-    )
+    return MatchingService(topology, peers, config.metric())
 
 
 def _matching_sha(service: MatchingService) -> str:
@@ -183,11 +173,14 @@ def run_service(
     kill_after:
         Stop abruptly once this many events have been applied — *no*
         final checkpoint, simulating a crash that loses everything
-        since the last periodic snapshot.
+        since the last periodic snapshot.  A negative count raises
+        :class:`ValueError`.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`; the replay loop
         runs inside a ``service-replay`` span when given.
     """
+    if kill_after is not None and kill_after < 0:
+        raise ValueError(f"kill_after must be >= 0, got {kill_after}")
     trace = config.trace()
     fingerprint = trace.fingerprint()
     pin = _run_fingerprint(config, fingerprint)
@@ -202,12 +195,7 @@ def run_service(
                 f" {fingerprint!r} with this config"
             )
         payload = load_checkpoint(path, fingerprint=pin)
-        service = MatchingService.restore(
-            payload["state"],
-            metric,
-            repair_budget=config.repair_budget,
-            on_budget=config.on_budget,
-        )
+        service = MatchingService.restore(payload["state"], metric)
         start_seq = int(payload["seq"])
     else:
         service = build_service(config)
@@ -270,7 +258,6 @@ def run_service(
         "differential_checks": len(differentials),
         "differential_ok": all(d.ok for d in differentials),
         "oracle_violations": sum(len(d.oracle_violations) for d in differentials),
-        "truncation_debt": service.truncated_since_sync,
         # machine-dependent tail (excluded from canonical comparisons)
         "elapsed_ms": elapsed * 1000.0,
         "mean_repair_ms": mean_repair * 1000.0,

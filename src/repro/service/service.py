@@ -4,13 +4,12 @@
 LIC matching alive across single churn events.  The service extends it
 into something deployable:
 
-- **round-budgeted repair** — every event is repaired by a budgeted
+- **exact incremental repair** — every event is repaired by
   :func:`~repro.overlay.churn.greedy_repair` warm-started from the
-  surviving matching; when the budget trips, the service either falls
-  back to a full re-solve (``on_budget="resolve"``, the default — the
-  served matching stays exactly LIC) or serves the feasible truncated
-  matching and lets the differential harness bound the gap
-  (``on_budget="defer"``, the almost-stable regime of Floréen et al.);
+  surviving matching and run to its no-blocking-edge fixpoint, so the
+  served matching is always the unique LIC matching of the live
+  instance; only degraded mode (below) answers events with a full
+  re-solve;
 - **event application** — :meth:`apply` resolves a self-contained
   :class:`~repro.service.events.ChurnEvent` against the live overlay,
   deterministically: victims index the sorted alive-id list with the
@@ -61,7 +60,6 @@ COUNTERS = (
     "updates",
     "skipped",
     "resolutions",
-    "truncated_repairs",
     "full_resolves",
     "guard_violations",
     "degraded_entries",
@@ -83,18 +81,6 @@ class ServiceCorruption(RuntimeError):
     """An invariant violation survived the degraded-mode full re-solve."""
 
 
-def validate_policy(repair_budget: Optional[int], on_budget: str) -> None:
-    """Reject bad policy knobs (:class:`ValueError`) before any state exists.
-
-    Construction, :meth:`MatchingService.restore` and
-    :class:`~repro.service.runner.ServiceConfig` all check through here.
-    """
-    if on_budget not in ("resolve", "defer"):
-        raise ValueError(f"on_budget must be 'resolve' or 'defer', got {on_budget!r}")
-    if repair_budget is not None and repair_budget < 0:
-        raise ValueError(f"repair_budget must be >= 0, got {repair_budget}")
-
-
 @dataclass
 class EventOutcome:
     """What one :meth:`MatchingService.apply` call did."""
@@ -110,50 +96,22 @@ class EventOutcome:
 
 
 class MatchingService(DynamicOverlay):
-    """A :class:`DynamicOverlay` hardened for unattended operation.
+    """A :class:`DynamicOverlay` hardened for unattended operation."""
 
-    Parameters
-    ----------
-    repair_budget:
-        Max blocking-edge resolutions per incremental repair; ``None``
-        means unbounded (repair always runs to the exact LIC fixpoint).
-    on_budget:
-        ``"resolve"`` (default) falls back to a full re-solve when a
-        repair truncates; ``"defer"`` serves the feasible truncated
-        matching (almost-stable mode).
-    """
-
-    def __init__(
-        self,
-        topology,
-        peers: list[Peer],
-        metric,
-        repair_budget: Optional[int] = None,
-        on_budget: str = "resolve",
-    ):
-        self._configure(repair_budget, on_budget)
+    def __init__(self, topology, peers: list[Peer], metric):
+        self._init_guard()
         self.mode = "incremental"
         self._cooldown = 0
-        self.truncated_since_sync = 0
         self.counters: dict[str, int] = {k: 0 for k in COUNTERS}
         super().__init__(topology, peers, metric)
 
-    def _configure(self, repair_budget: Optional[int], on_budget: str) -> None:
-        """Set the validated policy knobs and fresh guard state; :meth:`restore` shares it."""
-        validate_policy(repair_budget, on_budget)
-        self.repair_budget = repair_budget
-        self.on_budget = on_budget
+    def _init_guard(self) -> None:
+        """Fresh guard state; :meth:`restore` shares it."""
         self.guard = ServiceGuard()
         #: violations the current event's repair raised, for its guard pass
         self._pending = GuardReport()
 
     # -- repair --------------------------------------------------------
-
-    def full_rematch(self) -> None:
-        super().full_rematch()
-        # a from-scratch solve is exactly LIC: any almost-stable debt
-        # accumulated by deferred truncations is repaid here
-        self.truncated_since_sync = 0
 
     def _repair(self, changed: set[int]) -> RepairStats:
         # corruption inside the region a repair touches surfaces as
@@ -177,13 +135,6 @@ class MatchingService(DynamicOverlay):
         self.counters["resolutions"] += stats.resolutions
         self.counters["weights_reused"] += stats.weights_reused
         self.counters["weights_recomputed"] += stats.weights_recomputed
-        if stats.truncated:
-            self.counters["truncated_repairs"] += 1
-            if self.on_budget == "resolve":
-                self.full_rematch()
-                self.counters["full_resolves"] += 1
-            else:
-                self.truncated_since_sync += 1
         return stats
 
     # -- churn beyond join/leave ---------------------------------------
@@ -314,18 +265,17 @@ class MatchingService(DynamicOverlay):
     def snapshot(self) -> dict:
         """The primary state as plain JSON types.
 
-        It holds what cannot be recomputed: peers, adjacency, partners,
-        counters and the ladder position.  The partners stay because a
-        deferred repair can serve a truncated matching, not the unique
-        one the lists determine.  Floats survive a JSON round-trip
-        exactly in Python, so a restored service is *bit*-identical,
-        not approximately equal.
+        It holds peers, adjacency, partners, counters and the ladder
+        position.  The partners are the unique LIC matching of the
+        lists the peers and adjacency determine, but they stay: without
+        them every restore would run an LIC solve.  Floats survive a
+        JSON round-trip exactly in Python, so a restored service is
+        *bit*-identical, not approximately equal.
         """
         return {
             "next_id": self._next_id,
             "mode": self.mode,
             "cooldown": self._cooldown,
-            "truncated_since_sync": self.truncated_since_sync,
             "guard_cursor": self.guard._weight_cursor,
             "counters": dict(self.counters),
             "peers": [
@@ -348,13 +298,7 @@ class MatchingService(DynamicOverlay):
         }
 
     @classmethod
-    def restore(
-        cls,
-        state: dict,
-        metric,
-        repair_budget: Optional[int] = None,
-        on_budget: str = "resolve",
-    ) -> "MatchingService":
+    def restore(cls, state: dict, metric) -> "MatchingService":
         """Rebuild a service from :meth:`snapshot` output.
 
         The metric is *not* checkpointed — it must be reconstructed by
@@ -365,13 +309,12 @@ class MatchingService(DynamicOverlay):
         checkpointed partners are kept.
         """
         svc = cls.__new__(cls)
-        svc._configure(repair_budget, on_budget)
+        svc._init_guard()
         svc.guard._weight_cursor = int(state["guard_cursor"])
         svc.mode = str(state["mode"])
         if svc.mode not in MODES:
             raise ValueError(f"corrupt snapshot: unknown mode {svc.mode!r}")
         svc._cooldown = int(state["cooldown"])
-        svc.truncated_since_sync = int(state["truncated_since_sync"])
         svc.counters = {k: int(state["counters"].get(k, 0)) for k in COUNTERS}
         svc.metric = metric
         svc._peers = {

@@ -24,8 +24,11 @@ conformance run says *what* broke, *where*, and by *how much*:
   ``½(1+1/b_max)`` and ``¼(1+1/b_max)`` guarantees against the exact
   optima of :mod:`repro.baselines.exact` (small instances only — MILP).
 
-:func:`verify_matching` composes the per-matching checks into one
-:class:`OracleReport`.
+A matching over another node count than the instance (or lock sets
+keyed by a node outside it) is one typed violation of each structural
+check, which then checks nothing further; the other per-matching
+checks skip it.  :func:`verify_matching` composes the per-matching
+checks into one :class:`OracleReport`.
 """
 
 from __future__ import annotations
@@ -132,9 +135,36 @@ def _adjacency(
     return [set(conns) for conns in matching]
 
 
+def _off_instance(ps: PreferenceSystem, matching, check: str) -> list[Violation]:
+    """The one violation of a matching-like object over other nodes than ``ps``'s.
+
+    The per-node checks index ``ps`` with the matching's node ids, so
+    they run only when this is empty.  A mapping of raw lock sets may
+    omit nodes, but holds no key outside ``range(ps.n)``.
+    """
+    if isinstance(matching, Mapping):
+        stray = sorted(k for k in matching if not 0 <= k < ps.n)
+        if not stray:
+            return []
+        return [Violation(
+            check=check, subject=stray[0],
+            message=f"lock sets keyed by nodes {stray}, outside the instance's {ps.n} nodes",
+        )]
+    n = matching.n if isinstance(matching, Matching) else len(matching)
+    if n == ps.n:
+        return []
+    return [Violation(
+        check=check, subject="*",
+        message=f"matching spans {n} nodes but the instance has {ps.n}",
+        observed=float(n), expected=float(ps.n),
+    )]
+
+
 def check_quota(ps: PreferenceSystem, matching) -> OracleReport:
     """Feasibility: ``c_i ≤ b_i`` for every node (eq. 2's constraint)."""
-    report = OracleReport(checks_run=["quota"])
+    report = OracleReport(violations=_off_instance(ps, matching, "quota"), checks_run=["quota"])
+    if report.violations:
+        return report
     adj = _adjacency(ps, matching)
     for i, conns in enumerate(adj):
         b = ps.quota(i)
@@ -149,7 +179,11 @@ def check_quota(ps: PreferenceSystem, matching) -> OracleReport:
 
 def check_edge_locality(ps: PreferenceSystem, matching) -> OracleReport:
     """Locality: every matched edge is a potential connection of ``E``."""
-    report = OracleReport(checks_run=["edge-locality"])
+    report = OracleReport(
+        violations=_off_instance(ps, matching, "edge-locality"), checks_run=["edge-locality"]
+    )
+    if report.violations:
+        return report
     adj = _adjacency(ps, matching)
     for i, conns in enumerate(adj):
         for j in conns:
@@ -163,7 +197,12 @@ def check_edge_locality(ps: PreferenceSystem, matching) -> OracleReport:
 
 def check_mutual_consistency(ps: PreferenceSystem, matching) -> OracleReport:
     """Symmetry: ``j ∈ C_i ⇔ i ∈ C_j`` (no one-sided locks)."""
-    report = OracleReport(checks_run=["mutual-consistency"])
+    report = OracleReport(
+        violations=_off_instance(ps, matching, "mutual-consistency"),
+        checks_run=["mutual-consistency"],
+    )
+    if report.violations:
+        return report
     adj = _adjacency(ps, matching)
     for i, conns in enumerate(adj):
         for j in conns:
@@ -220,6 +259,8 @@ def check_satisfaction(
     from repro.core.satisfaction import delta_full, full_satisfaction, static_satisfaction
 
     report = OracleReport(checks_run=["satisfaction"])
+    if _off_instance(ps, matching, "satisfaction"):
+        return report  # reported by the structural checks; S_i is undefined
     adj = _adjacency(ps, matching)
     exact_fn = {"full": _exact_full_satisfaction, "static": _exact_static_satisfaction}[kind]
     library_fn = {"full": full_satisfaction, "static": static_satisfaction}[kind]
@@ -347,6 +388,8 @@ def check_theorem3_bound(
     from repro.core.analysis import theorem3_bound
 
     report = OracleReport(checks_run=["theorem3-bound"])
+    if _off_instance(ps, matching, "theorem3-bound"):
+        return report  # reported by the structural checks
     adj = _adjacency(ps, matching)
     achieved = float(sum(
         _exact_full_satisfaction(ps, i, conns)

@@ -1,11 +1,14 @@
 """Tests for the CLI (direct main() calls + one subprocess smoke test)."""
 
+import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments.cli import build_parser, main
+from repro.service import ServiceConfig, run_service
 
 
 class TestParser:
@@ -82,7 +85,6 @@ class TestServeUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--budget", "-1"],
             ["--checkpoint-every", "0"],
             ["--differential-every", "-1"],
             ["--n", "0"],
@@ -90,6 +92,7 @@ class TestServeUsageErrors:
             ["--quota", "0"],
             ["--seed", "-1"],
             ["--resume"],
+            ["--kill-after", "-1"],
         ],
         ids=" ".join,
     )
@@ -99,11 +102,34 @@ class TestServeUsageErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("holds", ["missing", "empty", "another-run", "version-3"])
+    def test_resume_without_a_pinning_checkpoint_exits_2(self, holds, tmp_path, capsys):
+        directory = tmp_path / "checkpoints"
+        config = ServiceConfig(n=20, events=6)
+        if holds == "empty":
+            directory.mkdir()
+        elif holds == "another-run":
+            run_service(replace(config, seed=1), checkpoint_dir=directory)
+        elif holds == "version-3":
+            # this run's own checkpoints in the format before version 4
+            run_service(config, checkpoint_dir=directory, kill_after=3)
+            for path in directory.iterdir():
+                payload = json.loads(path.read_text(encoding="utf-8"))
+                payload["version"] = 3
+                path.write_text(json.dumps(payload), encoding="utf-8")
+        argv = ["serve", "--n", "20", "--events", "6", "--resume", "--checkpoint", str(directory)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_warmstart_rounds_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["serve", "--warmstart-rounds", "3"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --warmstart-rounds 3" in capsys.readouterr().err
+        # removed service knobs are unknown flags, not silently ignored
+        for argv in (["--warmstart-rounds", "3"], ["--budget", "1"], ["--on-budget", "defer"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["serve", *argv])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
 
 def test_module_entry_point():

@@ -135,8 +135,8 @@ class TestHashing:
     def test_profile_hashes_are_pinned(self):
         # the hash keys every stored cell: a changed profile re-keys
         # every store built from it
-        assert PROFILES["smoke"].spec_hash() == "f67c789955b5"
-        assert PROFILES["faults"].spec_hash() == "8b281565befe"
+        assert PROFILES["smoke"].spec_hash() == "e6691d54f6e2"
+        assert PROFILES["faults"].spec_hash() == "126c17759650"
 
     def test_mapping_roundtrip_preserves_hash(self):
         spec = tiny_spec()
@@ -202,15 +202,12 @@ class TestServiceEngine:
     def test_service_knob_validation(self):
         with pytest.raises(ValueError, match="unknown service workload"):
             tiny_spec(service_workload="tsunami")
-        with pytest.raises(ValueError, match="service_budget"):
-            tiny_spec(service_budget=-1)
         with pytest.raises(ValueError, match="service_differential_every"):
             tiny_spec(service_differential_every=-1)
 
     def test_service_knobs_change_spec_hash(self):
         base = tiny_spec().spec_hash()
         assert tiny_spec(service_workload="storm").spec_hash() != base
-        assert tiny_spec(service_budget=4).spec_hash() != base
         assert tiny_spec(service_differential_every=10).spec_hash() != base
 
     def test_smoke_profile_includes_service_engine(self):

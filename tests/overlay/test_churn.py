@@ -234,19 +234,12 @@ class TestWeightCache:
 
 
 class TestGreedyRepairHardening:
-    """Input validation, corrupt partners and budget truncation."""
+    """Corrupt partners and degenerate inputs."""
 
     def _chain(self):
         # 0-1-2-3 path, strictly decreasing weights
         wt = WeightTable({(0, 1): 5.0, (1, 2): 4.0, (2, 3): 3.0}, 4)
         return wt, [1, 1, 1, 1]
-
-    def test_rejects_negative_budget(self):
-        from repro.utils.validation import InvalidInstanceError
-
-        wt, quotas = self._chain()
-        with pytest.raises(InvalidInstanceError):
-            greedy_repair(wt, quotas.__getitem__, _partners(4), {0}, budget=-1)
 
     @pytest.mark.parametrize("stranger", [2, 3, 10**6])
     def test_partner_without_an_edge_is_invalid(self, stranger):
@@ -267,32 +260,6 @@ class TestGreedyRepairHardening:
             WeightTable({}, 4), [1, 1, 1, 1].__getitem__, _partners(4), {0, 1, 2, 3}
         )
         assert stats.resolutions == 0
-        assert not stats.truncated
-
-    def test_budget_zero_on_stable_matching_not_truncated(self):
-        wt, quotas = self._chain()
-        partners = _partners(4, [(0, 1), (2, 3)])  # already the fixpoint
-        stats = greedy_repair(wt, quotas.__getitem__, partners, {0, 1, 2, 3}, budget=0)
-        assert not stats.truncated
-        assert stats.resolutions == 0
-
-    def test_budget_truncation_is_feasible_and_flagged(self):
-        wt, quotas = self._chain()
-        partners = _partners(4)
-        stats = greedy_repair(wt, quotas.__getitem__, partners, {0, 1, 2, 3}, budget=1)
-        assert stats.truncated
-        assert stats.resolutions == 1
-        assert _edge_set(partners) == {(0, 1)}  # heaviest first; (2,3) still blocking
-        # feasibility always holds even when truncated
-        for v in range(4):
-            assert len(partners[v]) <= quotas[v]
-
-    def test_sufficient_budget_completes_exactly(self):
-        wt, quotas = self._chain()
-        partners = _partners(4)
-        stats = greedy_repair(wt, quotas.__getitem__, partners, {0, 1, 2, 3}, budget=2)
-        assert not stats.truncated
-        assert _edge_set(partners) == lic_matching(wt, quotas).edge_set()
 
 
 class TestOverlayChurnEdgeCases:

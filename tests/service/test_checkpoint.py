@@ -78,14 +78,14 @@ class TestCheckpointFiles:
             "next_id",
             "partners",
             "peers",
-            "truncated_since_sync",
         ]
-        assert CHECKPOINT_VERSION == 3
+        assert CHECKPOINT_VERSION == 4
 
     def test_load_rejects_version_mismatch(self, tmp_path):
         # 1 is the format whose state still carried backend/weight_dirty,
-        # 2 the one whose state still carried the eq.-9 weight cache
-        for version in (1, 2, 99):
+        # 2 the one whose state still carried the eq.-9 weight cache,
+        # 3 the one whose state still carried truncated_since_sync
+        for version in (1, 2, 3, 99):
             path = write_checkpoint(tmp_path, 0, "fp", {"x": 1})
             payload = json.loads(path.read_text())
             payload["version"] = version
@@ -194,7 +194,7 @@ class TestEncodeOnce:
         assert encodings.count(True) == 1
 
     @pytest.mark.parametrize(
-        "config, v2_hash, v3_hash",
+        "config, v2_hash, v3_hash, v4_hash",
         [
             (
                 ServiceConfig(
@@ -203,6 +203,7 @@ class TestEncodeOnce:
                 ),
                 "900c38996618d5c3e6869852a5b8cd7a744fa117c17f265f8ae820b15d17eaa1",
                 "bf6bbecb3b114ce76dac775fad80051f5eb003e2fdf3e6cc106339e4ec12af77",
+                "24c21667a8403e71a53634403523cf2a733ec319a1ea9229562464a4f97808fd",
             ),
             (
                 ServiceConfig(
@@ -211,30 +212,40 @@ class TestEncodeOnce:
                 ),
                 "1c88cd9348df37eaa8b08cb5f864b4a373a8ad6d874c8c33e5edd0e356d2876e",
                 "1e4886a0bc7e4fffa14be7d19800dff5b2517a194c07dc9f0ff7582e6f4553c0",
+                "5dd31aa9e282cdf5f5088ee5b913e2c0a9c6488d662e614edd0c88ab4116c719",
             ),
         ],
         ids=["steady-poisson-500", "storm-250"],
     )
     def test_benchmark_service_states_hash_as_before(
-        self, tmp_path, config, v2_hash, v3_hash
+        self, tmp_path, config, v2_hash, v3_hash, v4_hash
     ):
         # the two end-to-end service configurations after their full
-        # pass.  The v2 literals were recorded before the writer encoded
-        # the state once, and must never move: the version-2 state is
-        # the v3 state plus the weight cache a restore rebuilds and the
-        # stale_dropped counter, which was always 0
+        # pass.  The v2 and v3 literals must never move: the version-3
+        # state is the v4 state plus the deferred-repair debt and its
+        # truncated_repairs counter, both always 0 in the one repair
+        # policy left, and the version-2 state (recorded before the
+        # writer encoded the state once) is the v3 state plus the weight
+        # cache a restore rebuilds and the stale_dropped counter, which
+        # was always 0
         trace = config.trace()
         service = build_service(config)
         for event in trace.events:
             service.apply(event)
         path = write_checkpoint(tmp_path, config.events, trace.fingerprint(), service.snapshot())
         payload = load_checkpoint(path)
-        assert payload["state_hash"] == v3_hash
+        assert payload["state_hash"] == v4_hash
         state = payload["state"]
+        v3 = dict(
+            state,
+            truncated_since_sync=0,
+            counters=dict(state["counters"], truncated_repairs=0),
+        )
+        assert hashlib.sha256(_canonical(v3)).hexdigest() == v3_hash
         restored = MatchingService.restore(state, config.metric())
         v2 = dict(
-            state,
-            counters=dict(state["counters"], stale_dropped=0),
+            v3,
+            counters=dict(v3["counters"], stale_dropped=0),
             weights=[[a, b, w] for (a, b), w in sorted(restored._wcache._w.items())],
         )
         assert hashlib.sha256(_canonical(v2)).hexdigest() == v2_hash
@@ -311,8 +322,7 @@ class TestKillAndResume:
 
     @pytest.mark.parametrize(
         "change",
-        [dict(n=11), dict(quota=2), dict(family="ws"), dict(repair_budget=4),
-         dict(on_budget="defer")],
+        [dict(n=11), dict(quota=2), dict(family="ws")],
         ids=lambda change: "-".join(change),
     )
     def test_resume_rejects_a_config_sharing_the_trace(self, tmp_path, change):
@@ -328,6 +338,10 @@ class TestKillAndResume:
         resumed = run_service(other, checkpoint_dir=tmp_path, resume=True).report
         base = run_service(config).report
         assert resumed["matching_sha"] == base["matching_sha"]
+
+    def test_negative_kill_after_is_rejected(self):
+        with pytest.raises(ValueError, match="kill_after"):
+            run_service(ServiceConfig(n=8, events=4), kill_after=-1)
 
     def test_kill_frac_validation(self):
         with pytest.raises(ValueError, match="kill_frac"):

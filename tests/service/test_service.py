@@ -1,13 +1,13 @@
 """Tests for the self-healing :class:`MatchingService`.
 
-Covers deterministic event application, the budget / on_budget modes,
-the invariant → degraded-mode ladder (including unrecoverable
-corruption and corruption the repair itself runs into), and exact
-snapshot/restore round-trips.
+Covers deterministic event application, config validation, the
+differential check failing on planted faults, the invariant →
+degraded-mode ladder (including unrecoverable corruption and
+corruption the repair itself runs into), and exact snapshot/restore
+round-trips.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -74,40 +74,50 @@ class TestDeterminism:
 
 
 class TestBudgetModes:
-    def test_resolve_mode_repays_truncations_immediately(self):
-        report = run_service(
-            _small(repair_budget=0, on_budget="resolve")
-        ).report
-        assert report["truncated_repairs"] > 0
-        assert report["full_resolves"] >= report["truncated_repairs"]
-        assert report["truncation_debt"] == 0
-        # exact mode: the served matching is always the LIC fixpoint
-        assert report["differential_ok"] is True
-
-    def test_defer_mode_serves_feasible_truncated_matching(self):
-        result = run_service(_small(repair_budget=1, on_budget="defer"))
-        report = result.report
-        assert report["truncated_repairs"] > 0
-        # debt is repaid only by full re-solves; oracle feasibility and
-        # the bounded-gap acceptance must still hold throughout
-        assert report["oracle_violations"] == 0
-        assert report["differential_ok"] is True
-
-    def test_on_budget_validation(self):
-        config = _small()
-        svc = build_service(config)
-        with pytest.raises(ValueError, match="on_budget"):
-            MatchingService(
-                None, [], None, on_budget="panic"
-            )
-        with pytest.raises(ValueError, match="repair_budget"):
-            MatchingService(None, [], None, repair_budget=-1)
-        assert svc.on_budget == "resolve"
-
     @pytest.mark.parametrize("field", ["family", "workload"])
     def test_config_validates_family_and_workload(self, field):
         with pytest.raises(ValueError, match=field):
             _small(**{field: "nope"})
+
+
+def _drop_a_matched_edge(svc: MatchingService) -> None:
+    p = min(pid for pid, mine in svc._partners.items() if mine)
+    q = min(svc._partners[p])
+    svc._partners[p].discard(q)
+    svc._partners[q].discard(p)
+
+
+def _overfill_a_full_peer(svc: MatchingService) -> None:
+    p = min(
+        pid for pid, mine in svc._partners.items()
+        if len(mine) == svc._lists.quota(pid) and svc._adj[pid] - mine
+    )
+    q = min(svc._adj[p] - svc._partners[p])
+    svc._partners[p].add(q)
+    svc._partners[q].add(p)
+
+
+class TestDifferentialCheck:
+    """The from-scratch check fails on a served matching that is not LIC."""
+
+    @pytest.mark.parametrize(
+        "plant", [_drop_a_matched_edge, _overfill_a_full_peer],
+        ids=["dropped-edge", "over-quota"],
+    )
+    def test_planted_fault_fails_the_check(self, plant):
+        svc = build_service(ServiceConfig(n=40, events=0, seed=1))
+        assert conformance_check(svc).ok
+        plant(svc)
+        report = conformance_check(svc)
+        assert not report.ok
+        assert not report.matches_fresh_solve
+        if plant is _drop_a_matched_edge:
+            # still feasible, so only the comparison with LIC catches it
+            assert report.oracle_violations == []
+            assert (report.missing_edges, report.extra_edges) == (1, 0)
+            assert report.blocking_edges == 5
+        else:
+            assert any(v.startswith("[quota]") for v in report.oracle_violations)
 
 
 class _AlwaysViolated(ServiceGuard):
@@ -281,23 +291,18 @@ class TestSnapshotRestore:
         assert clone.mode == svc.mode
 
     @pytest.mark.parametrize("workload", ["poisson", "flash", "diurnal", "storm"])
-    @pytest.mark.parametrize(
-        "policy",
-        [dict(), dict(repair_budget=1, on_budget="defer")],
-        ids=["resolve", "defer-budget-1"],
-    )
-    def test_restore_rebuilds_the_live_weight_cache(self, workload, policy):
+    def test_restore_rebuilds_the_live_weight_cache(self, workload):
         # snapshots carry no weights: restore re-derives the cache from
         # the peers and adjacency, and it must equal the cache the live
         # service kept up to date event by event, keys and floats
-        config = _small(n=40, events=40, workload=workload, **policy)
+        config = _small(n=40, events=40, workload=workload)
         svc = build_service(config)
         for seq, event in enumerate(config.trace().events, 1):
             svc.apply(event)
             if seq % 10:
                 continue
             clone = MatchingService.restore(
-                json.loads(json.dumps(svc.snapshot())), config.metric(), **policy
+                json.loads(json.dumps(svc.snapshot())), config.metric()
             )
             assert {e: w.hex() for e, w in clone._wcache._w.items()} == {
                 e: w.hex() for e, w in svc._wcache._w.items()
@@ -310,26 +315,3 @@ class TestSnapshotRestore:
         state["mode"] = "zombie"
         with pytest.raises(ValueError, match="unknown mode"):
             MatchingService.restore(state, _small().metric())
-
-    @pytest.mark.parametrize(
-        "policy",
-        [dict(on_budget="panic"), dict(repair_budget=-1)],
-        ids=lambda policy: "-".join(f"{k}={v}" for k, v in policy.items()),
-    )
-    def test_restore_validates_policy(self, policy):
-        # restore and ServiceConfig check the knobs exactly as
-        # construction does
-        state = build_service(_small(events=0)).snapshot()
-        (knob,) = policy
-        with pytest.raises(ValueError, match=knob):
-            MatchingService.restore(state, _small().metric(), **policy)
-        with pytest.raises(ValueError, match=knob):
-            replace(_small(), **policy)
-
-    def test_resume_validates_policy(self, tmp_path):
-        config = _small(events=10)
-        run_service(config, checkpoint_dir=tmp_path, kill_after=5)
-        with pytest.raises(ValueError, match="on_budget"):
-            run_service(
-                replace(config, on_budget="panic"), checkpoint_dir=tmp_path, resume=True
-            )

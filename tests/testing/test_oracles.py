@@ -114,6 +114,52 @@ class TestCorruptionsAreTyped:
         assert check_theorem1_bound(ps, optimum=opt).ok
 
 
+class TestNodeCount:
+    """A matching over other nodes than the instance's is one typed violation."""
+
+    STRUCTURAL = (check_quota, check_edge_locality, check_mutual_consistency)
+
+    @staticmethod
+    def _lic(ps):
+        return lic_matching(satisfaction_weights(ps), ps.quotas)
+
+    def test_fewer_nodes(self):
+        ps = random_ps(8, 0.6, 2, seed=3)
+        short = Matching(ps.n - 3)
+        for oracle in self.STRUCTURAL:
+            [v] = oracle(ps, short).violations
+            assert v.subject == "*" and "5 nodes" in v.message and "has 8" in v.message
+        assert not verify_matching(ps, short).ok
+
+    def test_more_nodes(self):
+        ps = random_ps(8, 0.6, 2, seed=3)
+        wide = Matching(ps.n + 3, self._lic(ps).edges())
+        for oracle in self.STRUCTURAL:
+            [v] = oracle(ps, wide).violations
+            assert (v.observed, v.expected) == (11.0, 8.0)
+        report = verify_matching(ps, wide)
+        assert sorted(report.by_check()) == ["edge-locality", "mutual-consistency", "quota"]
+
+    def test_lock_set_outside_the_instance(self):
+        ps = random_ps(8, 0.6, 2, seed=3)
+        lic = self._lic(ps)
+        locks = {i: set(lic.connections(i)) for i in range(ps.n)}
+        assert verify_matching(ps, locks).ok
+        locks[ps.n + 2] = {0}
+        for oracle in self.STRUCTURAL:
+            [v] = oracle(ps, locks).violations
+            assert v.subject == ps.n + 2
+        assert not verify_matching(ps, locks).ok
+
+    def test_is_stable_rejects_both_sizes(self):
+        from repro.baselines.verify import is_stable, stability_report
+
+        ps = random_ps(8, 0.6, 2, seed=3)
+        for matching in (Matching(ps.n - 3), Matching(ps.n + 3, self._lic(ps).edges())):
+            assert is_stable(ps, matching) is False
+            assert "stability" not in stability_report(ps, matching).by_check()
+
+
 class TestReportMechanics:
     def test_extend_merges_and_dedups_checks(self):
         a = OracleReport(checks_run=["quota"])
