@@ -361,6 +361,19 @@ def _cmd_serve(args) -> int:
 
     smoke = args.smoke
     try:
+        if smoke:
+            # the gate kills and resumes its own run in a temporary
+            # directory: a flag that steers a run must not be ignored
+            for flag, given in (
+                ("--resume", args.resume),
+                ("--kill-after", args.kill_after is not None),
+                ("--checkpoint", args.checkpoint is not None),
+            ):
+                if given:
+                    raise ValueError(
+                        f"--smoke kills and resumes its own run in a temporary"
+                        f" directory and takes no {flag}"
+                    )
         if args.resume and args.checkpoint is None:
             raise ValueError("--resume requires --checkpoint DIR")
         if args.kill_after is not None and args.kill_after < 0:
@@ -630,7 +643,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true",
                    help="the service-smoke CI gate: kill-and-resume"
                         " bit-identity + zero invariant violations on a"
-                        " n=500 trace; non-zero exit on failure")
+                        " n=500 trace; non-zero exit on failure.  It kills"
+                        " and resumes its own run in a temporary directory,"
+                        " so it takes no --checkpoint, --kill-after or"
+                        " --resume")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("churn", help="churn session with incremental repair")

@@ -20,6 +20,17 @@ re-serialises the parsed state canonically before it checks the hash,
 so a state stored in any other JSON layout (older writers used a
 spaced ``json.dumps(payload, sort_keys=True)``) verifies all the same.
 
+The writer does not format the whole state again on every write.
+:class:`FrozenRecord` and :class:`FrozenList` are read-only ``dict`` /
+``list`` values that cache their canonical text; the service keeps one
+of each per live peer until an event touches that peer.  The encoder
+splices those texts into the state's top-level ``peers`` list and
+``adjacency`` dict, so a write formats only what changed since the
+previous one.  The bytes are the same as a whole-state ``json.dumps``.
+
+File names carry ``seq`` as ``%08d``, so seqs past 99,999,999 take more
+digits; files are ordered, and pruned, by the integer ``seq``.
+
 Crash consistency comes from the classic write-to-temp + ``os.replace``
 dance (the same idiom as :func:`repro.telemetry.sink.write_jsonl` and
 the grid store): a checkpoint either exists completely or not at all as
@@ -45,12 +56,15 @@ import hashlib
 import json
 import os
 import re
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "CheckpointError",
+    "FrozenList",
+    "FrozenRecord",
     "latest_checkpoint",
     "load_checkpoint",
     "write_checkpoint",
@@ -58,15 +72,97 @@ __all__ = [
 
 CHECKPOINT_VERSION = 4
 
-_NAME_RE = re.compile(r"^checkpoint-(\d{8})\.json$")
+#: the names the writer produces: ``%08d`` of the seq, which has no
+#: leading zero once the seq needs more than 8 digits
+_NAME_RE = re.compile(r"^checkpoint-(\d{8}|[1-9]\d{8,})\.json$")
+
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` builds a
+#: new encoder per call; this one is shared
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class CheckpointError(RuntimeError):
     """A checkpoint exists but cannot be used (corrupt, or a mismatch)."""
 
 
+def _read_only(self, *args, **kwargs):
+    raise TypeError(f"{type(self).__name__} is read-only")
+
+
+class _Frozen:
+    """A read-only JSON container that caches its canonical text.
+
+    Built like the ``dict`` or ``list`` it derives from; the text is
+    encoded the first time it is asked for, so a value nested in another
+    frozen value, whose text the outer one covers, never pays for its own.
+    """
+
+    __slots__ = ()
+
+    @property
+    def text(self) -> str:
+        """The canonical JSON text."""
+        try:
+            return self._text
+        except AttributeError:
+            text = _ENCODER.encode(self)
+            object.__setattr__(self, "_text", text)
+            return text
+
+    __setattr__ = __delattr__ = __setitem__ = __delitem__ = _read_only
+
+
+class FrozenRecord(_Frozen, dict):
+    """A read-only JSON object; equal to the ``dict`` it was built from."""
+
+    __slots__ = ("_text",)
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+    clear = pop = popitem = setdefault = update = __ior__ = _read_only
+
+
+class FrozenList(_Frozen, list):
+    """A read-only JSON array; equal to the ``list`` it was built from."""
+
+    __slots__ = ("_text",)
+
+    def __reduce__(self):
+        return type(self), (list(self),)
+
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+    __iadd__ = __imul__ = _read_only
+
+
+def _value_text(value) -> str:
+    """Canonical text of one value, joining the texts of frozen items."""
+    if isinstance(value, _Frozen):
+        return value.text
+    if isinstance(value, list) and all(isinstance(v, _Frozen) for v in value):
+        return "[" + ",".join([v.text for v in value]) + "]"
+    if isinstance(value, dict) and all(
+        isinstance(k, str) and isinstance(v, _Frozen) for k, v in value.items()
+    ):
+        return "{" + ",".join(
+            [encode_basestring_ascii(k) + ":" + value[k].text for k in sorted(value)]
+        ) + "}"
+    return _ENCODER.encode(value)
+
+
 def _canonical(state: dict) -> str:
-    return json.dumps(state, sort_keys=True, separators=(",", ":"))
+    """``json.dumps(state, sort_keys=True, separators=(",", ":"))``.
+
+    The top-level object is built here so that its frozen values, and
+    lists or ``str``-keyed dicts of them, contribute their cached text.
+    A state that is not a dict, or has a non-``str`` key, is encoded
+    whole: JSON sorts such keys before turning them into strings.
+    """
+    if not isinstance(state, dict) or not all(isinstance(k, str) for k in state):
+        return _ENCODER.encode(state)
+    return "{" + ",".join(
+        [encode_basestring_ascii(k) + ":" + _value_text(state[k]) for k in sorted(state)]
+    ) + "}"
 
 
 def _state_hash(state: dict) -> str:
@@ -105,7 +201,7 @@ def write_checkpoint(
         encoding="utf-8",
     )
     os.replace(tmp, final)
-    older = [p for p in _checkpoint_files(directory) if p.name < final.name]
+    older = [p for s, p in _checkpoint_files(directory) if s < seq]
     for stale in older[::-1][keep - 1 :]:
         try:
             stale.unlink()
@@ -114,12 +210,14 @@ def write_checkpoint(
     return final
 
 
-def _checkpoint_files(directory: Path) -> list[Path]:
+def _checkpoint_files(directory: Path) -> list[tuple[int, Path]]:
+    """``(seq, path)`` of every checkpoint file, oldest first."""
     out = []
     if directory.is_dir():
         for p in directory.iterdir():
-            if _NAME_RE.match(p.name):
-                out.append(p)
+            m = _NAME_RE.match(p.name)
+            if m:
+                out.append((int(m.group(1)), p))
     return sorted(out)
 
 
@@ -143,7 +241,7 @@ def latest_checkpoint(
     point of keeping more than one.  With ``fingerprint`` given, files
     that pin another run are skipped too.
     """
-    for path in reversed(_checkpoint_files(Path(directory))):
+    for _, path in reversed(_checkpoint_files(Path(directory))):
         try:
             payload = _read(path)
         except CheckpointError:

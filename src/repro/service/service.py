@@ -28,11 +28,15 @@ into something deployable:
   re-solve is unrecoverable and raises :class:`ServiceCorruption`;
 - **snapshots** — :meth:`snapshot` / :meth:`restore` round-trip the
   primary state only (peers, adjacency, partners, counters, ladder
-  position) through plain JSON types, exactly.  The ranked lists and
-  the eq.-9 weight cache are functions of the peers and adjacency:
+  position) through JSON values, exactly.  The ranked lists and the
+  eq.-9 weight cache are functions of the peers and adjacency:
   :meth:`restore` re-derives them the way construction does, so a
-  corrupt cache is never persisted.  :mod:`repro.service.checkpoint`
-  wraps the snapshots in versioned atomic files.
+  corrupt cache is never persisted.  Each peer's record and adjacency
+  list are read-only values (:class:`~repro.service.checkpoint.FrozenRecord`,
+  :class:`~repro.service.checkpoint.FrozenList`) kept from one snapshot
+  to the next until an event touches the peer, so a checkpoint encodes
+  only what changed.  :mod:`repro.service.checkpoint` wraps the
+  snapshots in versioned atomic files.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ import numpy as np
 
 from repro.overlay.churn import DynamicOverlay, RepairStats
 from repro.overlay.peer import Peer
+from repro.service.checkpoint import FrozenList, FrozenRecord
 from repro.service.events import ChurnEvent
 from repro.service.guards import GuardReport, ServiceGuard
 from repro.utils.validation import InvalidMatchingError
@@ -111,9 +116,20 @@ class MatchingService(DynamicOverlay):
         #: violations the current event's repair raised, for its guard pass
         self._pending = GuardReport()
 
+    def _init_live_state(self) -> None:
+        super()._init_live_state()
+        #: per live peer, its adjacency key, record and adjacency list as
+        #: :meth:`snapshot` returns them; built there, dropped when an
+        #: event may change the peer's attributes or adjacency
+        self._frozen: dict[int, tuple[str, FrozenRecord, FrozenList]] = {}
+
     # -- repair --------------------------------------------------------
 
     def _repair(self, changed: set[int]) -> RepairStats:
+        # ``changed`` holds every peer whose attributes or adjacency the
+        # event changed (all but a leaver, which leave() drops)
+        for pid in changed:
+            self._frozen.pop(pid, None)
         # corruption inside the region a repair touches surfaces as
         # InvalidMatchingError; the event's guard pass answers it like a
         # violation the guard found itself, so the event still completes
@@ -161,6 +177,10 @@ class MatchingService(DynamicOverlay):
         peer.position = new
         self._lists.rescore(peer_id)
         return self._repair({peer_id} | self._adj[peer_id])
+
+    def leave(self, peer_id: int) -> RepairStats:
+        self._frozen.pop(peer_id, None)
+        return super().leave(peer_id)
 
     def crash(self, peer_id: int) -> RepairStats:
         """An ungraceful departure.
@@ -247,8 +267,10 @@ class MatchingService(DynamicOverlay):
             self.counters["degraded_entries"] += 1
         self.mode = "degraded"
         self._cooldown = DEGRADED_RECOVERY
-        # the lists and the cache are suspects in any corruption: the
-        # full re-solve re-derives both from scratch with the matching
+        # the lists and the caches are suspects in any corruption: the
+        # full re-solve re-derives the lists and weights from scratch
+        # with the matching, and the next snapshot its records
+        self._frozen.clear()
         self.full_rematch()
         self.counters["full_resolves"] += 1
         recheck = GuardReport()
@@ -263,7 +285,7 @@ class MatchingService(DynamicOverlay):
     # -- snapshots ------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """The primary state as plain JSON types.
+        """The primary state as JSON values.
 
         It holds peers, adjacency, partners, counters and the ladder
         position.  The partners are the unique LIC matching of the
@@ -271,31 +293,46 @@ class MatchingService(DynamicOverlay):
         them every restore would run an LIC solve.  Floats survive a
         JSON round-trip exactly in Python, so a restored service is
         *bit*-identical, not approximately equal.
+
+        Each peer record and adjacency list is a read-only
+        :class:`~repro.service.checkpoint.FrozenRecord` /
+        :class:`~repro.service.checkpoint.FrozenList`, shared with
+        earlier snapshots while no event touched the peer; they compare
+        equal to their JSON round trip.  The top-level dict, the
+        ``peers`` list, the ``adjacency`` and ``partners`` dicts and the
+        partner lists are fresh on every call.
         """
+        frozen = self._frozen
+        entries = []
+        for pid in sorted(self._peers):
+            entry = frozen.get(pid)
+            if entry is None:
+                entry = frozen[pid] = self._freeze(pid)
+            entries.append(entry)
         return {
             "next_id": self._next_id,
             "mode": self.mode,
             "cooldown": self._cooldown,
             "guard_cursor": self.guard._weight_cursor,
             "counters": dict(self.counters),
-            "peers": [
-                {
-                    "peer_id": p.peer_id,
-                    "position": p.position.tolist(),
-                    "interests": p.interests.tolist(),
-                    "bandwidth": float(p.bandwidth),
-                    "reliability": float(p.reliability),
-                    "quota": int(p.quota),
-                }
-                for _, p in sorted(self._peers.items())
-            ],
-            "adjacency": {
-                str(pid): sorted(self._adj[pid]) for pid in sorted(self._adj)
-            },
+            "peers": [record for _, record, _ in entries],
+            "adjacency": {key: adj for key, _, adj in entries},
             "partners": {
                 str(pid): sorted(v) for pid, v in sorted(self._partners.items())
             },
         }
+
+    def _freeze(self, pid: int) -> tuple[str, FrozenRecord, FrozenList]:
+        p = self._peers[pid]
+        record = FrozenRecord(
+            peer_id=p.peer_id,
+            position=FrozenList(p.position.tolist()),
+            interests=FrozenList(p.interests.tolist()),
+            bandwidth=float(p.bandwidth),
+            reliability=float(p.reliability),
+            quota=int(p.quota),
+        )
+        return str(pid), record, FrozenList(sorted(self._adj[pid]))
 
     @classmethod
     def restore(cls, state: dict, metric) -> "MatchingService":
@@ -306,7 +343,10 @@ class MatchingService(DynamicOverlay):
         the service config seed), exactly as at first construction.
         The ranked lists and the weight cache are rebuilt from the
         peers and adjacency as construction builds them; the
-        checkpointed partners are kept.
+        checkpointed partners are kept.  ``state`` may be a snapshot
+        itself or its JSON round trip; the restored service shares no
+        value with it, and its first snapshot builds every peer's
+        record and adjacency list afresh.
         """
         svc = cls.__new__(cls)
         svc._init_guard()

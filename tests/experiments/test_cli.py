@@ -123,6 +123,24 @@ class TestServeUsageErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "flag, extra",
+        [("--checkpoint", []), ("--kill-after", ["--kill-after", "3"]), ("--resume", ["--resume"])],
+        ids=["checkpoint", "kill-after", "resume"],
+    )
+    def test_smoke_rejects_the_flags_it_would_ignore(self, flag, extra, tmp_path, capsys):
+        # the smoke gate kills and resumes its own run in a temporary
+        # directory; it must refuse a flag that steers the run, not ignore it
+        directory = tmp_path / "checkpoints"
+        argv = ["serve", "--smoke", "--n", "30", "--events", "10",
+                "--checkpoint", str(directory), *extra]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert flag in err
+        assert not directory.exists()
+
     def test_warmstart_rounds_is_gone(self, capsys):
         # removed service knobs are unknown flags, not silently ignored
         for argv in (["--warmstart-rounds", "3"], ["--budget", "1"], ["--on-budget", "defer"]):

@@ -10,6 +10,8 @@ from repro.service import checkpoint
 from repro.service.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
+    FrozenList,
+    FrozenRecord,
     latest_checkpoint,
     load_checkpoint,
     write_checkpoint,
@@ -154,6 +156,29 @@ class TestCheckpointFiles:
             "checkpoint-00000015.json",
         ]
 
+    def test_seqs_past_eight_digits_are_found_and_pruned(self, tmp_path):
+        # seq 10**8 takes a ninth digit: files order by the integer seq,
+        # so the newest is found and only older ones are pruned
+        for seq in range(99_999_998, 100_000_004):
+            write_checkpoint(tmp_path, seq, "fp", {"seq": seq}, keep=3)
+        newest = latest_checkpoint(tmp_path)
+        assert newest.name == "checkpoint-100000003.json"
+        assert load_checkpoint(newest)["seq"] == 100_000_003
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint-100000001.json",
+            "checkpoint-100000002.json",
+            "checkpoint-100000003.json",
+        ]
+        # a name the writer never produces is a stranger, however it sorts
+        stranger = tmp_path / "checkpoint-0100000009.json"
+        stranger.write_text(newest.read_text())
+        write_checkpoint(tmp_path, 100_000_004, "fp", {"seq": 100_000_004}, keep=1)
+        assert latest_checkpoint(tmp_path).name == "checkpoint-100000004.json"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint-0100000009.json",
+            "checkpoint-100000004.json",
+        ]
+
     def test_argument_validation(self, tmp_path):
         with pytest.raises(ValueError, match="seq"):
             write_checkpoint(tmp_path, -1, "fp", {})
@@ -178,20 +203,49 @@ class TestEncodeOnce:
         payload = load_checkpoint(path, fingerprint="fp")
         assert payload["state_hash"] == hashlib.sha256(_stored_state(path)).hexdigest()
 
-    def test_state_is_serialised_once_per_write(self, tmp_path, monkeypatch):
-        state = build_service(ServiceConfig(n=12, events=0)).snapshot()
-        dumps = json.dumps
-        encodings = []
+    @staticmethod
+    def _record_encodings(monkeypatch) -> list:
+        """Every object the checkpoint module hands to a JSON encoder."""
+        encoded = []
+        encoder, dumps = checkpoint._ENCODER, json.dumps
 
-        def counting_dumps(obj, *args, **kwargs):
-            # the state itself, or an envelope holding it
-            values = obj.values() if isinstance(obj, dict) else ()
-            encodings.append(obj is state or any(v is state for v in values))
+        class Recording:
+            def encode(self, obj):
+                encoded.append(obj)
+                return encoder.encode(obj)
+
+        def recording_dumps(obj, *args, **kwargs):
+            encoded.append(obj)
             return dumps(obj, *args, **kwargs)
 
-        monkeypatch.setattr(checkpoint.json, "dumps", counting_dumps)
-        write_checkpoint(tmp_path, 0, "fp", state)
-        assert encodings.count(True) == 1
+        monkeypatch.setattr(checkpoint, "_ENCODER", Recording())
+        monkeypatch.setattr(checkpoint.json, "dumps", recording_dumps)
+        return encoded
+
+    def test_state_is_serialised_once_per_write(self, tmp_path, monkeypatch):
+        # the writer builds the state's text from one encoding of each
+        # top-level value and each peer's record and adjacency list: it
+        # never encodes the state whole, and no container twice
+        state = build_service(ServiceConfig(n=12, events=0)).snapshot()
+        expected = _canonical(state)
+        encoded = self._record_encodings(monkeypatch)
+        path = write_checkpoint(tmp_path, 0, "fp", state)
+        assert _stored_state(path) == expected
+        assert all(obj is not state for obj in encoded)
+        containers = [id(obj) for obj in encoded if isinstance(obj, (dict, list))]
+        assert len(set(containers)) == len(containers)
+        assert sum(isinstance(obj, FrozenRecord) for obj in encoded) == 12
+        assert sum(isinstance(obj, FrozenList) for obj in encoded) == 12
+
+    def test_a_second_write_encodes_no_frozen_value_again(self, tmp_path, monkeypatch):
+        svc = build_service(ServiceConfig(n=12, events=0))
+        write_checkpoint(tmp_path, 0, "fp", svc.snapshot())
+        state = svc.snapshot()
+        expected = _canonical(state)
+        encoded = self._record_encodings(monkeypatch)
+        path = write_checkpoint(tmp_path, 1, "fp", state)
+        assert _stored_state(path) == expected
+        assert encoded and not any(isinstance(o, (FrozenRecord, FrozenList)) for o in encoded)
 
     @pytest.mark.parametrize(
         "config, v2_hash, v3_hash, v4_hash",
