@@ -425,7 +425,8 @@ def _cmd_serve(args) -> int:
         )
     except CheckpointError as exc:
         # raised before any event is applied: no checkpoint in DIR pins
-        # this run, so --resume has nothing to restore
+        # this run, or the newest one holds a corrupt state, so --resume
+        # has nothing to restore
         print(f"error: {exc}", file=sys.stderr)
         return 2
     r = result.report

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -337,8 +337,6 @@ class DynamicOverlay:
         if topology.positions is not None:
             for i, p in enumerate(peers):
                 p.position = topology.positions[i]
-        # matching in external-id space
-        self._partners: dict[int, set[int]] = {pid: set() for pid in self._peers}
         self._next_id = max(self._peers, default=-1) + 1
         self._init_live_state()
         self.full_rematch()
@@ -368,29 +366,6 @@ class DynamicOverlay:
             Topology(topo_adj, None, "dynamic"), peers, self.metric
         )
         return ps, ids, index
-
-    def _rebuild_instance(self) -> tuple[Optional[FastInstance], list[int]]:
-        """Re-derive the ranked lists and the weight cache from scratch.
-
-        The first step of a full re-solve, and all a restore needs:
-        every ranked list is re-scored from the metric (neither trusts
-        incremental state), the fresh lists are compacted and lowered
-        once, so each directed pair is scored once, and the lowered
-        eq.-9 weights fill the cache.  Returns the compact instance and
-        its ids (compact index → peer id); an overlay without peers has
-        no instance (``None``) and an empty cache.
-        """
-        self._lists.rank_all(self._adj)
-        ids = self.active_ids()
-        if not ids:
-            self._wcache.clear()
-            return None, ids
-        index = {pid: k for k, pid in enumerate(ids)}
-        rankings = [[index[q] for q in self._lists.ranked(pid)] for pid in ids]
-        ps = PreferenceSystem(rankings, [self._peers[p].quota for p in ids])
-        fi = FastInstance.from_preference_system(ps)
-        self._wcache.seed(fi, ids)
-        return fi, ids
 
     def _matching_compact(self, index: dict[int, int]) -> Matching:
         m = Matching(len(index))
@@ -429,20 +404,43 @@ class DynamicOverlay:
     # -- maintenance ---------------------------------------------------------
 
     def full_rematch(self) -> None:
-        """Recompute the matching from scratch (the baseline A3 compares to)."""
-        fi, ids = self._rebuild_instance()
+        """Re-derive the lists, the weight cache and the matching from scratch.
+
+        The one path to a live state: construction, degraded mode and
+        :meth:`~repro.service.service.MatchingService.restore` run it,
+        and it is the baseline the A3 bench compares the repair to.
+        Every ranked list is re-scored from the metric (nothing
+        incremental is trusted), the fresh lists are compacted and
+        lowered once, so each directed pair is scored once, the lowered
+        eq.-9 weights fill the cache, and
+        :func:`~repro.core.fast.lic_matching_fast` solves the lowered
+        instance.  An overlay without peers gets empty lists, an empty
+        cache and no partners.
+        """
+        self._lists.rank_all(self._adj)
         self._partners = {pid: set() for pid in self._peers}
-        if fi is not None:
-            for a, b in lic_matching_fast(fi).edges():
-                self._partners[ids[a]].add(ids[b])
-                self._partners[ids[b]].add(ids[a])
+        ids = self.active_ids()
+        if not ids:
+            self._wcache.clear()
+            return
+        index = {pid: k for k, pid in enumerate(ids)}
+        rankings = [[index[q] for q in self._lists.ranked(pid)] for pid in ids]
+        ps = PreferenceSystem(rankings, [self._peers[p].quota for p in ids])
+        fi = FastInstance.from_preference_system(ps)
+        self._wcache.seed(fi, ids)
+        for a, b in lic_matching_fast(fi).edges():
+            self._partners[ids[a]].add(ids[b])
+            self._partners[ids[b]].add(ids[a])
 
     def leave(self, peer_id: int) -> RepairStats:
         """Remove a peer and repair incrementally.
 
         The leaver's overlay neighbours — its former partners among
         them — lost a list entry, so their eq.-9 weights changed; the
-        repair starts from them.
+        repair starts from them.  A leaver matched to a peer that has
+        already departed is corrupt state: the leaver is still removed
+        completely, then :class:`~repro.utils.validation.InvalidMatchingError`
+        names the departed partner and no repair runs.
         """
         if peer_id not in self._peers:
             raise KeyError(f"unknown peer {peer_id}")
@@ -453,8 +451,16 @@ class DynamicOverlay:
         for q in neighbours:
             self._adj[q].discard(peer_id)
         del self._adj[peer_id]
+        departed = []
         for q in self._partners.pop(peer_id, set()):
-            self._partners[q].discard(peer_id)
+            if q in self._partners:
+                self._partners[q].discard(peer_id)
+            else:
+                departed.append(q)
+        if departed:
+            raise InvalidMatchingError(
+                f"leaving peer {peer_id} was matched to departed peers {sorted(departed)}"
+            )
         if not self._peers:
             return RepairStats()
         return self._repair(neighbours)

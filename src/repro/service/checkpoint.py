@@ -9,7 +9,7 @@ self-describing::
       "seq": 120,
       "state": { … },              # MatchingService.snapshot()
       "state_hash": "…64 hex…",    # sha256 of the state's bytes
-      "version": 4
+      "version": 5
     }
 
 The state is stored in canonical compact form,
@@ -45,9 +45,10 @@ match (a service can never resume one run and silently replay a
 different one), and the state hash must match the re-serialised state.
 Version 3 dropped the derived eq.-9 weight cache from the state (a
 restore rebuilds it); version 4 dropped the deferred-repair debt and
-its counter, since every repair now runs to the LIC fixpoint.  Files
-of earlier versions are refused, so a version-3 file whose partners a
-deferred repair left short of LIC is never resumed.
+its counter, since every repair now runs to the LIC fixpoint; version
+5 dropped the partners, which a restore re-solves.  Files of earlier
+versions are refused, so a version-3 file whose partners a deferred
+repair left short of LIC is never resumed.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ __all__ = [
     "write_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: the names the writer produces: ``%08d`` of the seq, which has no
 #: leading zero once the seq needs more than 8 digits

@@ -168,8 +168,9 @@ def run_service(
         Restore from this run's newest intact checkpoint in
         ``checkpoint_dir`` and replay only the remaining events.  The
         checkpoints pin the trace and every config field but the two
-        cadences; when none in the directory pins this run,
-        :class:`CheckpointError` is raised.
+        cadences; when none in the directory pins this run, or the
+        newest one holds a state :meth:`MatchingService.restore`
+        rejects, :class:`CheckpointError` is raised.
     kill_after:
         Stop abruptly once this many events have been applied — *no*
         final checkpoint, simulating a crash that loses everything
@@ -195,7 +196,10 @@ def run_service(
                 f" {fingerprint!r} with this config"
             )
         payload = load_checkpoint(path, fingerprint=pin)
-        service = MatchingService.restore(payload["state"], metric)
+        try:
+            service = MatchingService.restore(payload["state"], metric)
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint {path}: {exc}") from exc
         start_seq = int(payload["seq"])
     else:
         service = build_service(config)

@@ -27,11 +27,14 @@ into something deployable:
   violation of that event's pass.  A violation that survives the full
   re-solve is unrecoverable and raises :class:`ServiceCorruption`;
 - **snapshots** — :meth:`snapshot` / :meth:`restore` round-trip the
-  primary state only (peers, adjacency, partners, counters, ladder
-  position) through JSON values, exactly.  The ranked lists and the
-  eq.-9 weight cache are functions of the peers and adjacency:
-  :meth:`restore` re-derives them the way construction does, so a
-  corrupt cache is never persisted.  Each peer's record and adjacency
+  primary state only (peers, adjacency, counters, ladder position)
+  through JSON values, exactly.  The ranked lists, the eq.-9 weight
+  cache and the matching, the unique LIC matching of those lists, are
+  functions of the peers and adjacency: :meth:`restore` validates its
+  input and re-derives them through
+  :meth:`~repro.overlay.churn.DynamicOverlay.full_rematch`, as
+  construction does, so a corrupt cache or partner set is never
+  persisted.  Each peer's record and adjacency
   list are read-only values (:class:`~repro.service.checkpoint.FrozenRecord`,
   :class:`~repro.service.checkpoint.FrozenList`) kept from one snapshot
   to the next until an event touches the peer, so a checkpoint encodes
@@ -180,7 +183,15 @@ class MatchingService(DynamicOverlay):
 
     def leave(self, peer_id: int) -> RepairStats:
         self._frozen.pop(peer_id, None)
-        return super().leave(peer_id)
+        # a departed partner of the leaver is answered like corruption a
+        # repair runs into; the leave skipped the repair that drops the
+        # neighbours' entries, so every entry goes
+        try:
+            return super().leave(peer_id)
+        except InvalidMatchingError as exc:
+            self._pending.violations.append(f"leave: {exc}")
+            self._frozen.clear()
+            return RepairStats()
 
     def crash(self, peer_id: int) -> RepairStats:
         """An ungraceful departure.
@@ -287,20 +298,20 @@ class MatchingService(DynamicOverlay):
     def snapshot(self) -> dict:
         """The primary state as JSON values.
 
-        It holds peers, adjacency, partners, counters and the ladder
-        position.  The partners are the unique LIC matching of the
-        lists the peers and adjacency determine, but they stay: without
-        them every restore would run an LIC solve.  Floats survive a
-        JSON round-trip exactly in Python, so a restored service is
-        *bit*-identical, not approximately equal.
+        It holds peers, adjacency, counters and the ladder position.
+        The matching is derived state: the unique LIC matching of the
+        lists the peers and adjacency determine, which :meth:`restore`
+        solves again.  Floats survive a JSON round-trip exactly in
+        Python, so a restored service is *bit*-identical, not
+        approximately equal.
 
         Each peer record and adjacency list is a read-only
         :class:`~repro.service.checkpoint.FrozenRecord` /
         :class:`~repro.service.checkpoint.FrozenList`, shared with
         earlier snapshots while no event touched the peer; they compare
         equal to their JSON round trip.  The top-level dict, the
-        ``peers`` list, the ``adjacency`` and ``partners`` dicts and the
-        partner lists are fresh on every call.
+        ``peers`` list and the ``adjacency`` dict are fresh on every
+        call.
         """
         frozen = self._frozen
         entries = []
@@ -317,9 +328,6 @@ class MatchingService(DynamicOverlay):
             "counters": dict(self.counters),
             "peers": [record for _, record, _ in entries],
             "adjacency": {key: adj for key, _, adj in entries},
-            "partners": {
-                str(pid): sorted(v) for pid, v in sorted(self._partners.items())
-            },
         }
 
     def _freeze(self, pid: int) -> tuple[str, FrozenRecord, FrozenList]:
@@ -341,12 +349,18 @@ class MatchingService(DynamicOverlay):
         The metric is *not* checkpointed — it must be reconstructed by
         the caller from its own parameters (the runner derives it from
         the service config seed), exactly as at first construction.
-        The ranked lists and the weight cache are rebuilt from the
-        peers and adjacency as construction builds them; the
-        checkpointed partners are kept.  ``state`` may be a snapshot
-        itself or its JSON round trip; the restored service shares no
-        value with it, and its first snapshot builds every peer's
-        record and adjacency list afresh.
+        The peers and adjacency are checked first: a duplicate peer, a
+        peer without adjacency or adjacency of a non-peer, a self-loop,
+        a neighbour that is not a peer, an asymmetric link, or a
+        ``next_id`` at or below a live id raises ``ValueError("corrupt
+        snapshot: …")`` before any derived state is built.  The ranked
+        lists, the weight cache and the matching are then re-derived by
+        :meth:`~repro.overlay.churn.DynamicOverlay.full_rematch`, the
+        path construction takes; no counter moves, and a degraded
+        snapshot restores as degraded, with its cooldown.  ``state`` may
+        be a snapshot itself or its JSON round trip; the restored
+        service shares no value with it, and its first snapshot builds
+        every peer's record and adjacency list afresh.
         """
         svc = cls.__new__(cls)
         svc._init_guard()
@@ -368,15 +382,38 @@ class MatchingService(DynamicOverlay):
             )
             for rec in state["peers"]
         }
+        if len(svc._peers) != len(state["peers"]):
+            raise ValueError("corrupt snapshot: duplicate peer ids")
         svc._adj = {
             int(pid): {int(q) for q in qs}
             for pid, qs in state["adjacency"].items()
         }
-        svc._partners = {
-            int(pid): {int(q) for q in qs}
-            for pid, qs in state["partners"].items()
-        }
+        _check_adjacency(svc._peers, svc._adj)
         svc._next_id = int(state["next_id"])
+        if svc._peers and svc._next_id <= max(svc._peers):
+            raise ValueError(
+                f"corrupt snapshot: next_id {svc._next_id} is not above"
+                f" live peer {max(svc._peers)}"
+            )
         svc._init_live_state()
-        svc._rebuild_instance()
+        svc.full_rematch()
         return svc
+
+
+def _check_adjacency(peers: dict[int, Peer], adj: dict[int, set[int]]) -> None:
+    """One pass over restored adjacency; ``ValueError`` if corrupt."""
+    if adj.keys() != peers.keys():
+        bare = sorted(peers.keys() - adj.keys())
+        if bare:
+            raise ValueError(f"corrupt snapshot: peers {bare[:5]} have no adjacency")
+        stray = sorted(adj.keys() - peers.keys())
+        raise ValueError(f"corrupt snapshot: adjacency of non-peers {stray[:5]}")
+    for pid, qs in adj.items():
+        for q in qs:
+            if q == pid:
+                raise ValueError(f"corrupt snapshot: peer {pid} is its own neighbour")
+            mine = adj.get(q)
+            if mine is None:
+                raise ValueError(f"corrupt snapshot: peer {pid} lists non-peer {q}")
+            if pid not in mine:
+                raise ValueError(f"corrupt snapshot: link {pid} -> {q} is one-sided")

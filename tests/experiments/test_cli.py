@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments.cli import build_parser, main
 from repro.service import ServiceConfig, run_service
+from repro.service.checkpoint import latest_checkpoint, load_checkpoint, write_checkpoint
 
 
 class TestParser:
@@ -122,6 +123,23 @@ class TestServeUsageErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_resume_from_a_corrupt_state_exits_2(self, tmp_path, capsys):
+        # a hash-valid checkpoint whose adjacency is one-sided
+        directory = tmp_path / "checkpoints"
+        run_service(ServiceConfig(n=20, events=6, checkpoint_every=2), directory, kill_after=3)
+        payload = load_checkpoint(latest_checkpoint(directory))
+        state = payload["state"]
+        p = min(state["adjacency"], key=int)
+        state["adjacency"][p] = state["adjacency"][p][1:]
+        write_checkpoint(directory, payload["seq"], payload["fingerprint"], state)
+        argv = ["serve", "--n", "20", "--events", "6", "--checkpoint-every", "2",
+                "--resume", "--checkpoint", str(directory)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "corrupt snapshot" in err
 
     @pytest.mark.parametrize(
         "flag, extra",

@@ -78,16 +78,16 @@ class TestCheckpointFiles:
             "guard_cursor",
             "mode",
             "next_id",
-            "partners",
             "peers",
         ]
-        assert CHECKPOINT_VERSION == 4
+        assert CHECKPOINT_VERSION == 5
 
     def test_load_rejects_version_mismatch(self, tmp_path):
         # 1 is the format whose state still carried backend/weight_dirty,
         # 2 the one whose state still carried the eq.-9 weight cache,
-        # 3 the one whose state still carried truncated_since_sync
-        for version in (1, 2, 3, 99):
+        # 3 the one whose state still carried truncated_since_sync,
+        # 4 the one whose state still carried the partners
+        for version in (1, 2, 3, 4, 99):
             path = write_checkpoint(tmp_path, 0, "fp", {"x": 1})
             payload = json.loads(path.read_text())
             payload["version"] = version
@@ -248,7 +248,7 @@ class TestEncodeOnce:
         assert encoded and not any(isinstance(o, (FrozenRecord, FrozenList)) for o in encoded)
 
     @pytest.mark.parametrize(
-        "config, v2_hash, v3_hash, v4_hash",
+        "config, v2_hash, v3_hash, v4_hash, v5_hash",
         [
             (
                 ServiceConfig(
@@ -258,6 +258,7 @@ class TestEncodeOnce:
                 "900c38996618d5c3e6869852a5b8cd7a744fa117c17f265f8ae820b15d17eaa1",
                 "bf6bbecb3b114ce76dac775fad80051f5eb003e2fdf3e6cc106339e4ec12af77",
                 "24c21667a8403e71a53634403523cf2a733ec319a1ea9229562464a4f97808fd",
+                "23e9eec1446ef3b54b0c15a17dee44ac4c25b92bd42c4bee60e6ab6b95e0de4a",
             ),
             (
                 ServiceConfig(
@@ -267,15 +268,18 @@ class TestEncodeOnce:
                 "1c88cd9348df37eaa8b08cb5f864b4a373a8ad6d874c8c33e5edd0e356d2876e",
                 "1e4886a0bc7e4fffa14be7d19800dff5b2517a194c07dc9f0ff7582e6f4553c0",
                 "5dd31aa9e282cdf5f5088ee5b913e2c0a9c6488d662e614edd0c88ab4116c719",
+                "585e56ffd7b15412b25bb979a256ab98b0226cc713a4fe5666116752fc224b96",
             ),
         ],
         ids=["steady-poisson-500", "storm-250"],
     )
     def test_benchmark_service_states_hash_as_before(
-        self, tmp_path, config, v2_hash, v3_hash, v4_hash
+        self, tmp_path, config, v2_hash, v3_hash, v4_hash, v5_hash
     ):
         # the two end-to-end service configurations after their full
-        # pass.  The v2 and v3 literals must never move: the version-3
+        # pass.  The v2, v3 and v4 literals must never move: the
+        # version-4 state is the v5 state plus the partners, which the
+        # restore's LIC solve must reproduce exactly; the version-3
         # state is the v4 state plus the deferred-repair debt and its
         # truncated_repairs counter, both always 0 in the one repair
         # policy left, and the version-2 state (recorded before the
@@ -288,15 +292,22 @@ class TestEncodeOnce:
             service.apply(event)
         path = write_checkpoint(tmp_path, config.events, trace.fingerprint(), service.snapshot())
         payload = load_checkpoint(path)
-        assert payload["state_hash"] == v4_hash
+        assert payload["state_hash"] == v5_hash
         state = payload["state"]
-        v3 = dict(
+        restored = MatchingService.restore(state, config.metric())
+        v4 = dict(
             state,
+            partners={
+                str(pid): sorted(v) for pid, v in sorted(restored._partners.items())
+            },
+        )
+        assert hashlib.sha256(_canonical(v4)).hexdigest() == v4_hash
+        v3 = dict(
+            v4,
             truncated_since_sync=0,
             counters=dict(state["counters"], truncated_repairs=0),
         )
         assert hashlib.sha256(_canonical(v3)).hexdigest() == v3_hash
-        restored = MatchingService.restore(state, config.metric())
         v2 = dict(
             v3,
             counters=dict(v3["counters"], stale_dropped=0),

@@ -35,7 +35,9 @@ def _service():
 
 
 def _state(svc) -> str:
-    return json.dumps(svc.snapshot(), sort_keys=True)
+    # snapshots hold no partners, so the served matching is compared too
+    partners = {str(pid): sorted(mine) for pid, mine in svc._partners.items()}
+    return json.dumps([svc.snapshot(), partners], sort_keys=True)
 
 
 class TestChurnEvent:

@@ -14,6 +14,7 @@ import pytest
 from repro.overlay.churn import DynamicOverlay
 from repro.overlay.scenario import build_scenario
 from repro.service.differential import conformance_check
+from repro.service.events import ChurnEvent
 from repro.service.guards import GuardReport, ServiceGuard
 from repro.service.runner import (
     ServiceConfig,
@@ -260,6 +261,65 @@ class TestDegradedLadder:
         with pytest.raises(InvalidMatchingError):
             dyn.leave(leaver)
 
+    @pytest.mark.parametrize("how", ["leave", "crash", "apply"])
+    def test_a_leaver_matched_to_a_departed_peer_degrades(self, how):
+        svc = build_service(ServiceConfig(n=20, events=0, seed=1))
+        svc.snapshot()  # caches every peer's record and adjacency
+        leaver = svc.active_ids()[0]
+        _plant(svc, leaver, "departed")
+        if how == "apply":
+            assert svc.apply(ChurnEvent(seq=0, t=0.0, kind="crash", r=0)).guard_ok is False
+        else:
+            assert getattr(svc, how)(leaver).resolutions == 0
+            # no repair ran to drop the neighbours' cached adjacency
+            assert all(leaver not in adj for adj in svc.snapshot()["adjacency"].values())
+            assert svc._guard_pass() is False
+        assert svc.mode == "degraded"
+        assert leaver not in svc._peers and leaver not in svc._partners
+        assert conformance_check(svc).ok
+
+    def test_bare_overlay_raises_on_a_departed_partner_of_the_leaver(self):
+        sc = build_scenario("geo_latency", 20, seed=1)
+        dyn = DynamicOverlay(sc.topology, sc.peers, sc.metric)
+        leaver = dyn.active_ids()[0]
+        _plant(dyn, leaver, "departed")
+        with pytest.raises(InvalidMatchingError, match=f"departed peers \\[{10**6}\\]"):
+            dyn.leave(leaver)
+        # the leaver is gone completely, partnerships with live peers too
+        assert leaver not in dyn._peers and leaver not in dyn._partners
+        assert all(leaver not in mine for mine in dyn._partners.values())
+
+
+def _corrupt(state: dict, how: str) -> None:
+    """Edit a snapshot's JSON copy into one ``restore`` must refuse."""
+    adjacency = state["adjacency"]
+    p = min(adjacency, key=int)
+    if how == "non-peer-neighbour":
+        adjacency[p].append(10**6)
+    elif how == "peer-without-adjacency":
+        del adjacency[p]
+    elif how == "asymmetric":
+        adjacency[p].pop(0)
+    elif how == "self-loop":
+        adjacency[p].append(int(p))
+    elif how == "adjacency-of-non-peer":
+        adjacency[str(10**6)] = []
+    elif how == "duplicate-peer":
+        state["peers"].append(state["peers"][0])
+    else:
+        state["next_id"] = max(rec["peer_id"] for rec in state["peers"])
+
+
+CORRUPTIONS = (
+    "non-peer-neighbour",
+    "peer-without-adjacency",
+    "asymmetric",
+    "self-loop",
+    "adjacency-of-non-peer",
+    "duplicate-peer",
+    "stale-next-id",
+)
+
 
 class TestSnapshotRestore:
     def test_snapshot_survives_json_exactly(self):
@@ -308,6 +368,42 @@ class TestSnapshotRestore:
                 e: w.hex() for e, w in svc._wcache._w.items()
             }
             assert clone._partners == svc._partners
+
+    def test_restore_re_solves_a_corrupt_matching(self):
+        # a dropped matched edge leaves a feasible matching the structure
+        # guard cannot see; the snapshot holds no partners, so the
+        # restore's solve serves the LIC matching again
+        config = _small(n=40, events=10)
+        svc = build_service(config)
+        for event in config.trace().events:
+            svc.apply(event)
+        _drop_a_matched_edge(svc)
+        report = GuardReport()
+        svc.guard.check_structure(svc, report)
+        assert report.ok
+        restored = MatchingService.restore(
+            json.loads(json.dumps(svc.snapshot())), config.metric()
+        )
+        assert not conformance_check(svc).ok
+        assert conformance_check(restored).ok
+
+    def test_a_degraded_snapshot_restores_degraded(self):
+        svc = build_service(_small(events=0))
+        svc._enter_degraded(GuardReport(violations=["injected"]))
+        svc._cooldown = 3
+        restored = MatchingService.restore(
+            json.loads(json.dumps(svc.snapshot())), _small().metric()
+        )
+        assert (restored.mode, restored._cooldown) == ("degraded", 3)
+        assert restored.counters == svc.counters
+
+    @pytest.mark.parametrize("how", CORRUPTIONS)
+    def test_restore_rejects_a_corrupt_topology(self, how):
+        config = ServiceConfig(n=30, events=0)
+        state = json.loads(json.dumps(build_service(config).snapshot()))
+        _corrupt(state, how)
+        with pytest.raises(ValueError, match="corrupt snapshot"):
+            MatchingService.restore(state, config.metric())
 
     def test_restore_rejects_unknown_mode(self):
         svc = build_service(_small(events=0))

@@ -47,9 +47,6 @@ def _reference_snapshot(svc: MatchingService) -> dict:
             for _, p in sorted(svc._peers.items())
         ],
         "adjacency": {str(pid): sorted(svc._adj[pid]) for pid in sorted(svc._adj)},
-        "partners": {
-            str(pid): sorted(v) for pid, v in sorted(svc._partners.items())
-        },
     }
 
 
@@ -173,7 +170,6 @@ class TestInvalidation:
         assert all(a is b for a, b in zip(first["peers"], second["peers"]))
         assert first["peers"] is not second["peers"]
         assert first["adjacency"] is not second["adjacency"]
-        assert first["partners"] is not second["partners"]
 
 
 class TestReadOnly:
