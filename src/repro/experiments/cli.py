@@ -7,8 +7,9 @@ Entry point (installed via ``python -m repro``):
 - ``python -m repro compare geo_latency --n 40``    — satisfaction
   comparison of LID vs baselines vs OPT on one scenario;
 - ``python -m repro grid run|status|report``        — declarative
-  parameter grids (engine × family × n × b × churn × fault × seed)
-  with resumable parallel execution and aggregation; ``grid run
+  parameter grids (engine × family × n × b × churn × fault × seed,
+  where churn is a ``lid-service`` cell's trace length) with
+  resumable parallel execution and aggregation; ``grid run
   --smoke`` is the grid-smoke CI merge gate, and ``grid run --profile
   chaos`` (or ``faults``) sweeps the seeded fault matrix (loss × crash
   × partition × Byzantine) on the resilient runtime;
@@ -19,14 +20,12 @@ Entry point (installed via ``python -m repro``):
   ``--replay FILE`` re-runs a minimised repro file deterministically;
 - ``python -m repro discover --n 60``               — gossip discovery →
   ranking → LID, end to end;
-- ``python -m repro churn --n 50 --events 20``      — a churn session
-  with exact incremental repair;
-- ``python -m repro serve --n 100 --events 200``    — the long-lived
-  self-healing matching service: workload replay with exact
-  incremental repair, crash-consistent checkpoints, runtime invariant
-  guards and sampled differential conformance checks; ``--smoke`` is
-  the service-smoke CI gate (kill-and-resume bit-identity + zero
-  invariant violations, non-zero exit otherwise);
+- ``python -m repro serve --n 100 --events 200``    — churn: the
+  long-lived self-healing matching service replays a seeded workload
+  trace with exact incremental repair, crash-consistent checkpoints,
+  runtime invariant guards and sampled differential conformance
+  checks; ``--smoke`` is the service-smoke CI gate (kill-and-resume
+  bit-identity + zero invariant violations, non-zero exit otherwise);
 - ``python -m repro list``                          — the experiment
   inventory (ids, claims, bench files).
 """
@@ -47,7 +46,7 @@ from repro.baselines import (
 from repro.core import solve_lid
 from repro.experiments.instances import FAMILIES
 from repro.experiments.reporting import print_table
-from repro.overlay import SCENARIOS, DynamicOverlay, build_scenario
+from repro.overlay import SCENARIOS, build_scenario
 from repro.utils.rng import spawn_rng
 
 __all__ = ["main", "build_parser"]
@@ -339,23 +338,6 @@ def _cmd_discover(args) -> int:
     return 0
 
 
-def _cmd_churn(args) -> int:
-    from repro.experiments.grid import churn_session
-
-    sc = build_scenario("geo_latency", args.n, seed=args.seed)
-    overlay = DynamicOverlay(sc.topology, sc.peers, sc.metric)
-    rng = spawn_rng(args.seed, "cli-churn")
-    changes, reused, recomputed = churn_session(overlay, rng, args.events,
-                                                args.n, quota=3)
-    print(f"{args.events} churn events -> {overlay.n} peers alive,"
-          f" {changes} connection changes,"
-          f" satisfaction {overlay.total_satisfaction():.2f}")
-    if reused + recomputed:
-        print(f"weight cache: {reused} reused / {recomputed} recomputed"
-              f" ({100.0 * reused / (reused + recomputed):.0f}% reuse)")
-    return 0
-
-
 def _cmd_serve(args) -> int:
     from repro.service import CheckpointError, ServiceConfig, kill_and_resume_check, run_service
 
@@ -402,7 +384,8 @@ def _cmd_serve(args) -> int:
         # violations end to end
         out = kill_and_resume_check(config)
         rep = out["report"]
-        print(f"service-smoke: n={config.n} events={config.events}"
+        print(f"service-smoke: n={config.n} family={config.family}"
+              f" quota={config.quota} events={config.events}"
               f" workload={config.workload} trace={rep['trace_fingerprint']}")
         print(f"kill-and-resume: killed at event {out['kill_after']},"
               f" identical={out['identical']}"
@@ -649,12 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
                         " so it takes no --checkpoint, --kill-after or"
                         " --resume")
     p.set_defaults(fn=_cmd_serve)
-
-    p = sub.add_parser("churn", help="churn session with incremental repair")
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--events", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_churn)
 
     return parser
 

@@ -45,11 +45,7 @@ from repro.experiments.gridspec import (
     GridSpec,
     engine_backend,
 )
-from repro.experiments.instances import (
-    family_instance,
-    random_preference_instance,
-    topology_for_family,
-)
+from repro.experiments.instances import family_instance, random_preference_instance
 from repro.telemetry.probes import ConvergenceProbe
 from repro.telemetry.resources import ResourceSampler
 from repro.telemetry.sink import read_jsonl, session_records, write_jsonl
@@ -61,7 +57,6 @@ __all__ = [
     "GridRunResult",
     "GridStore",
     "StaleStoreError",
-    "churn_session",
     "run_grid",
     "run_grid_cell",
 ]
@@ -299,63 +294,6 @@ def _run_truncated(spec: GridSpec, cell: GridCell, tel=NULL, probe=None) -> dict
     return record
 
 
-def churn_session(overlay, rng, events: int, n0: int,
-                  quota: int) -> tuple[int, int, int]:
-    """Apply ``events`` random joins and leaves to a ``DynamicOverlay``.
-
-    Each event draws from ``rng``: with probability ½ (while more than
-    ``max(10, n0 // 3)`` peers are alive) a random peer leaves,
-    otherwise a peer with quota ``quota`` joins next to 2–5 random live
-    peers.  Returns the summed repair statistics ``(resolutions,
-    weights_reused, weights_recomputed)``.
-    """
-    from repro.overlay.peer import Peer
-
-    changes = reused = recomputed = 0
-    for _ in range(events):
-        if rng.random() < 0.5 and overlay.n > max(10, n0 // 3):
-            stats = overlay.leave(int(rng.choice(overlay.active_ids())))
-        else:
-            ids = overlay.active_ids()
-            k = min(int(rng.integers(2, 6)), len(ids))
-            neigh = [int(x) for x in rng.choice(ids, size=k, replace=False)]
-            _, stats = overlay.join(
-                Peer(peer_id=-1, position=rng.uniform(0, 1, 2), quota=quota),
-                neigh,
-            )
-        changes += stats.resolutions
-        reused += stats.weights_reused
-        recomputed += stats.weights_recomputed
-    return changes, reused, recomputed
-
-
-def _run_churn(spec: GridSpec, cell: GridCell, tel=NULL) -> dict:
-    from repro.overlay import DynamicOverlay
-    from repro.overlay.metrics import PrivateTasteMetric
-    from repro.overlay.peer import generate_peers
-
-    with tel.span("build_overlay"):
-        rng = spawn_rng(cell.seed, "grid-churn", cell.family, str(cell.n),
-                        str(cell.b))
-        topo = topology_for_family(cell.family, cell.n, rng)
-        peers = generate_peers(cell.n, rng, quota_range=(cell.b, cell.b))
-        overlay = DynamicOverlay(topo, peers, PrivateTasteMetric(seed=cell.seed))
-    t0 = time.perf_counter()
-    with tel.span("churn_loop"):
-        changes, reused, recomputed = churn_session(overlay, rng, cell.churn,
-                                                    cell.n, cell.b)
-    wall = time.perf_counter() - t0
-    return {
-        "alive": int(overlay.n),
-        "changes": int(changes),
-        "sat_total": float(overlay.total_satisfaction()),
-        "weights_reused": int(reused),
-        "weights_recomputed": int(recomputed),
-        "churn_ms": 1e3 * wall,
-        "ok": True,
-    }
-
-
 def _run_service(spec: GridSpec, cell: GridCell, tel=NULL) -> dict:
     """The long-lived ``lid-service`` engine: replay a churn workload.
 
@@ -543,8 +481,6 @@ def run_grid_cell(spec: GridSpec, cell: GridCell,
             metrics = _run_service(spec, cell, tel=tel)
         elif cell.engine == "lid-truncated":
             metrics = _run_truncated(spec, cell, tel=tel, probe=probe)
-        elif cell.churn:
-            metrics = _run_churn(spec, cell, tel=tel)
         else:
             metrics = _run_static(spec, cell, tel=tel, probe=probe)
     record = _jsonable({**cell.coords(), **metrics})

@@ -16,14 +16,18 @@ Axes
 - ``engines`` — which pipeline executes the cell: ``lic-reference`` /
   ``lic-fast`` (centralised Algorithm 2 on either backend),
   ``lid-reference`` / ``lid-fast`` (distributed Algorithm 1, simulator
-  or round-batched engine) or ``resilient`` (the fault-tolerant
-  runtime).  The *instance* of a cell is seeded independently of the
-  engine axis; with ``density`` or ``degree`` set, every engine sees
-  the same instance (see :class:`GridSpec`).
+  or round-batched engine), ``lid-truncated`` (round-budgeted LID),
+  ``lid-service`` (the long-lived matching service under churn) or
+  ``resilient`` (the fault-tolerant runtime).  The *instance* of a
+  cell is seeded independently of the engine axis; with ``density`` or
+  ``degree`` set, every engine but ``lid-service``, which builds its
+  overlay from the family alone, sees the same instance (see
+  :class:`GridSpec`).
 - ``families`` — named topology families (:data:`FAMILIES`).
 - ``sizes`` / ``quotas`` — overlay size ``n`` and per-node quota ``b``.
-- ``churn`` — number of join/leave events applied to a dynamic overlay
-  (``0`` = static instance).
+- ``churn`` — the workload-trace length a ``lid-service`` cell replays
+  through :class:`~repro.service.MatchingService` (``0`` = static
+  instance, the value every other engine takes).
 - ``faults`` — fault-model strings in a tiny DSL
   (:meth:`FaultSpec.parse`): ``"none"``, ``"loss=0.1"``,
   ``"loss=0.3+crash=0.05+partition+byz=0.1"`` …
@@ -35,10 +39,8 @@ Axes
 Not every coordinate combination is meaningful; :meth:`GridSpec.cells`
 expands only the *compatible* subset under the documented rules:
 faults run exclusively on the ``resilient`` engine (and the resilient
-engine only on the ``er`` family, its instance model), and churn runs
-exclusively on the churn-consuming engines — the incremental-repair
-``lic-fast`` pipeline and the long-lived ``lid-service`` (for which the
-churn count is the workload trace length, so it requires churn > 0).
+engine only on the ``er`` family, its instance model), and a cell has
+churn exactly when its engine is the long-lived ``lid-service``.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from typing import Mapping, Optional
 from repro.experiments.instances import FAMILIES
 
 __all__ = [
-    "CHURN_ENGINES",
     "ENGINES",
     "FaultSpec",
     "GridCell",
@@ -78,8 +79,6 @@ ENGINES = (
 LIC_ENGINES = ("lic-reference", "lic-fast")
 #: engines that run the distributed LID protocol
 LID_ENGINES = ("lid-reference", "lid-fast")
-#: engines that consume the churn axis (event-count interpretation)
-CHURN_ENGINES = ("lic-fast", "lid-service")
 
 #: workloads the lid-service engine accepts (mirrors
 #: ``repro.service.events.WORKLOADS``; kept literal here so spec
@@ -372,23 +371,19 @@ class GridSpec:
     def compatible(self, cell: GridCell) -> bool:
         """Whether a raw cross-product coordinate is meaningful.
 
-        Faults run only on the resilient engine; the resilient engine
-        runs only on the ``er`` family with no churn; churn runs only on
-        the churn-consuming engines (the incremental ``lic-fast``
-        pipeline and the long-lived ``lid-service``, which reads the
-        churn count as its workload-trace length and therefore
-        *requires* churn).
+        Faults run only on the resilient engine, and the resilient
+        engine runs only on the ``er`` family.  A cell has churn exactly
+        when its engine is the long-lived ``lid-service``, which reads
+        the churn count as its workload-trace length; every other
+        engine is static.
         The ``max_rounds`` coordinate is set exactly on ``lid-truncated``
-        cells (the only engine sweeping the round-budget axis), which
-        are static: no churn, no faults.
+        cells (the only engine sweeping the round-budget axis).
         """
         if cell.fault != "none" and cell.engine != "resilient":
             return False
-        if cell.engine == "resilient" and (cell.family != "er" or cell.churn):
+        if cell.engine == "resilient" and cell.family != "er":
             return False
-        if cell.churn and cell.engine not in CHURN_ENGINES:
-            return False
-        if cell.engine == "lid-service" and not cell.churn:
+        if bool(cell.churn) != (cell.engine == "lid-service"):
             return False
         if (cell.max_rounds is not None) != (cell.engine == "lid-truncated"):
             return False

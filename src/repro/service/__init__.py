@@ -19,16 +19,20 @@ through that churn:
   mutual consent, eq.-9 weight consistency) that demote the service to
   a degraded full-re-solve mode instead of serving a corrupt matching;
 - :mod:`repro.service.checkpoint` — crash-consistent versioned
-  snapshots of the peers, adjacency, partners, counters and ladder
-  position at an event cursor: a killed service rebuilds its ranked
-  lists and weight cache from them and replays to a state
-  bit-identical to an uninterrupted run;
+  snapshots of the peers, adjacency, counters and ladder position at
+  an event cursor: a killed service validates them, re-derives its
+  ranked lists, weight cache and matching (an LIC solve of the
+  restored instance) and replays to a state bit-identical to an
+  uninterrupted run;
 - :mod:`repro.service.differential` — the conformance harness checking
   every repaired state against a from-scratch
   :func:`~repro.core.lid.solve_lid` on the same live instance;
 - :mod:`repro.service.runner` — drive a service through a trace with
   checkpointing, differential sampling and the kill-and-resume
-  bit-identity check behind ``python -m repro serve --smoke``.
+  bit-identity check behind ``python -m repro serve --smoke``.  Trace
+  replay through :meth:`MatchingService.apply` is how the CLI and the
+  grid apply churn: ``repro serve``, the grid's ``lid-service`` cells
+  and the end-to-end service workloads all run it.
 """
 
 from repro.service.checkpoint import (

@@ -45,6 +45,7 @@ into something deployable:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Optional
 
 import numpy as np
@@ -349,12 +350,14 @@ class MatchingService(DynamicOverlay):
         The metric is *not* checkpointed — it must be reconstructed by
         the caller from its own parameters (the runner derives it from
         the service config seed), exactly as at first construction.
-        The peers and adjacency are checked first: a duplicate peer, a
-        peer without adjacency or adjacency of a non-peer, a self-loop,
-        a neighbour that is not a peer, an asymmetric link, or a
-        ``next_id`` at or below a live id raises ``ValueError("corrupt
-        snapshot: …")`` before any derived state is built.  The ranked
-        lists, the weight cache and the matching are then re-derived by
+        The input is checked before any derived state is built: a
+        missing, null or mistyped field, a position or interest vector
+        that is not a finite vector, an unknown mode, a duplicate peer,
+        a peer without adjacency or adjacency of a non-peer, a
+        self-loop, a neighbour that is not a peer, an asymmetric link,
+        or a ``next_id`` at or below a live id raises
+        ``ValueError("corrupt snapshot: …")``.  The ranked lists, the
+        weight cache and the matching are then re-derived by
         :meth:`~repro.overlay.churn.DynamicOverlay.full_rematch`, the
         path construction takes; no counter moves, and a degraded
         snapshot restores as degraded, with its cooldown.  ``state`` may
@@ -364,32 +367,50 @@ class MatchingService(DynamicOverlay):
         """
         svc = cls.__new__(cls)
         svc._init_guard()
-        svc.guard._weight_cursor = int(state["guard_cursor"])
-        svc.mode = str(state["mode"])
+        svc.metric = metric
+        # ``index`` refuses what ``int`` would parse or truncate ("3", 2.5)
+        try:
+            svc.guard._weight_cursor = index(state["guard_cursor"])
+            svc.mode = str(state["mode"])
+            svc._cooldown = index(state["cooldown"])
+            svc.counters = {k: index(state["counters"].get(k, 0)) for k in COUNTERS}
+            peers = [
+                Peer(
+                    peer_id=index(rec["peer_id"]),
+                    position=np.asarray(rec["position"], dtype=float),
+                    interests=np.asarray(rec["interests"], dtype=float),
+                    bandwidth=float(rec["bandwidth"]),
+                    reliability=float(rec["reliability"]),
+                    quota=index(rec["quota"]),
+                )
+                for rec in state["peers"]
+            ]
+            svc._adj = {
+                int(pid): {index(q) for q in qs}
+                for pid, qs in state["adjacency"].items()
+            }
+            svc._next_id = index(state["next_id"])
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(
+                f"corrupt snapshot: unreadable field ({type(exc).__name__}: {exc})"
+            ) from exc
         if svc.mode not in MODES:
             raise ValueError(f"corrupt snapshot: unknown mode {svc.mode!r}")
-        svc._cooldown = int(state["cooldown"])
-        svc.counters = {k: int(state["counters"].get(k, 0)) for k in COUNTERS}
-        svc.metric = metric
-        svc._peers = {
-            int(rec["peer_id"]): Peer(
-                peer_id=int(rec["peer_id"]),
-                position=np.asarray(rec["position"], dtype=float),
-                interests=np.asarray(rec["interests"], dtype=float),
-                bandwidth=float(rec["bandwidth"]),
-                reliability=float(rec["reliability"]),
-                quota=int(rec["quota"]),
+        # one vectorised pass; the per-peer scan runs only to name a culprit
+        vectors = [v for peer in peers for v in (peer.position, peer.interests)]
+        if vectors and not (all(v.ndim == 1 for v in vectors)
+                            and np.isfinite(np.concatenate(vectors)).all()):
+            bad = next(peer.peer_id for peer in peers
+                       if not all(v.ndim == 1 and np.isfinite(v).all()
+                                  for v in (peer.position, peer.interests)))
+            raise ValueError(
+                f"corrupt snapshot: peer {bad}'s position or interests"
+                " are not a finite vector"
             )
-            for rec in state["peers"]
-        }
-        if len(svc._peers) != len(state["peers"]):
+        svc._peers = {peer.peer_id: peer for peer in peers}
+        if len(svc._peers) != len(peers):
             raise ValueError("corrupt snapshot: duplicate peer ids")
-        svc._adj = {
-            int(pid): {int(q) for q in qs}
-            for pid, qs in state["adjacency"].items()
-        }
         _check_adjacency(svc._peers, svc._adj)
-        svc._next_id = int(state["next_id"])
         if svc._peers and svc._next_id <= max(svc._peers):
             raise ValueError(
                 f"corrupt snapshot: next_id {svc._next_id} is not above"

@@ -37,10 +37,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "LID" in out and "OPT" in out and "random" in out
 
-    def test_churn(self, capsys):
-        assert main(["churn", "--n", "25", "--events", "6"]) == 0
-        out = capsys.readouterr().out
-        assert "churn events" in out and "satisfaction" in out
+    def test_serve_reports_churn_and_cache_reuse(self, capsys):
+        assert main(["serve", "--n", "25", "--events", "6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("churn: ") for line in lines)
+        repair = next(line for line in lines if line.startswith("repair: "))
+        assert "reused" in repair and "recomputed" in repair
+
+    @pytest.mark.parametrize("family", [None, "reg"])
+    def test_serve_smoke_header_names_the_topology(self, family, capsys):
+        argv = ["serve", "--smoke", "--n", "30", "--events", "10"]
+        assert main(argv + (["--family", family] if family else [])) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.startswith("service-smoke: n=30 ")
+        assert f" family={family or 'geo'} quota=3 " in header
+
+    def test_churn_subcommand_is_gone(self, capsys):
+        # churn runs are trace replays through `serve`
+        with pytest.raises(SystemExit) as exc:
+            main(["churn", "--n", "25", "--events", "6"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'churn'" in capsys.readouterr().err
 
 
 class TestBackendFlag:
@@ -51,9 +68,6 @@ class TestBackendFlag:
     def test_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "geo_latency", "--backend", "gpu"])
-        with pytest.raises(SystemExit):
-            # churn has one path, so it takes no backend at all
-            build_parser().parse_args(["churn", "--backend", "fast"])
 
     def test_compare_fast_backend(self, capsys):
         assert main(["compare", "geo_latency", "--n", "20",
@@ -73,11 +87,6 @@ class TestBackendFlag:
             return line.split("|")[1:]  # total/mean/min columns
 
         assert lic_row(ref_out, "LIC[reference]") == lic_row(fast_out, "LIC[fast]")
-
-    def test_churn_fast_backend_reports_cache(self, capsys):
-        assert main(["churn", "--n", "25", "--events", "6"]) == 0
-        out = capsys.readouterr().out
-        assert "weight cache" in out and "% reuse" in out
 
 
 class TestServeUsageErrors:
@@ -125,21 +134,26 @@ class TestServeUsageErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_resume_from_a_corrupt_state_exits_2(self, tmp_path, capsys):
-        # a hash-valid checkpoint whose adjacency is one-sided
-        directory = tmp_path / "checkpoints"
-        run_service(ServiceConfig(n=20, events=6, checkpoint_every=2), directory, kill_after=3)
-        payload = load_checkpoint(latest_checkpoint(directory))
-        state = payload["state"]
-        p = min(state["adjacency"], key=int)
-        state["adjacency"][p] = state["adjacency"][p][1:]
-        write_checkpoint(directory, payload["seq"], payload["fingerprint"], state)
-        argv = ["serve", "--n", "20", "--events", "6", "--checkpoint-every", "2",
-                "--resume", "--checkpoint", str(directory)]
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert "corrupt snapshot" in err
+        # hash-valid checkpoints whose state restore must refuse: a
+        # one-sided link, and a peer record with a null quota
+        for corruption in ("one-sided-link", "null-quota"):
+            directory = tmp_path / corruption
+            run_service(ServiceConfig(n=20, events=6, checkpoint_every=2), directory, kill_after=3)
+            payload = load_checkpoint(latest_checkpoint(directory))
+            state = payload["state"]
+            if corruption == "one-sided-link":
+                p = min(state["adjacency"], key=int)
+                state["adjacency"][p] = state["adjacency"][p][1:]
+            else:
+                state["peers"][0]["quota"] = None
+            write_checkpoint(directory, payload["seq"], payload["fingerprint"], state)
+            argv = ["serve", "--n", "20", "--events", "6", "--checkpoint-every", "2",
+                    "--resume", "--checkpoint", str(directory)]
+            assert main(argv) == 2, corruption
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+            assert "corrupt snapshot" in err
 
     @pytest.mark.parametrize(
         "flag, extra",

@@ -20,10 +20,11 @@ from repro.experiments.grid import (
     run_grid_cell,
 )
 from repro.experiments.gridspec import GridSpec
+from repro.telemetry.sink import NONDETERMINISTIC_SUFFIXES
 
 TINY = GridSpec(
     name="tiny",
-    engines=("lic-reference", "lic-fast", "lid-reference", "lid-fast"),
+    engines=("lic-reference", "lic-fast", "lid-reference", "lid-fast", "lid-service"),
     families=("er",),
     sizes=(14,),
     quotas=(2,),
@@ -67,7 +68,7 @@ class TestRunGrid:
 
     def test_lid_records_carry_protocol_metrics(self):
         res = run_grid(TINY)
-        lid = [r for r in res.records if r["engine"].startswith("lid-")]
+        lid = [r for r in res.records if r["engine"] in ("lid-reference", "lid-fast")]
         assert lid
         for r in lid:
             assert r["lid_equals_lic"] is True
@@ -78,7 +79,8 @@ class TestRunGrid:
         par = run_grid(TINY, workers=2)
 
         def strip_timings(rec):
-            return {k: v for k, v in rec.items() if not k.endswith("_ms")}
+            return {k: v for k, v in rec.items()
+                    if not k.endswith(NONDETERMINISTIC_SUFFIXES)}
 
         assert [strip_timings(r) for r in seq.records] \
             == [strip_timings(r) for r in par.records]

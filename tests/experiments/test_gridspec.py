@@ -16,7 +16,7 @@ from repro.experiments.gridspec import (
 def tiny_spec(**overrides) -> GridSpec:
     base = dict(
         name="tiny",
-        engines=("lic-fast", "lid-fast", "resilient"),
+        engines=("lic-fast", "lid-fast", "lid-service", "resilient"),
         families=("er", "ba"),
         sizes=(12,),
         quotas=(2,),
@@ -60,11 +60,11 @@ class TestExpansion:
             if c.fault != "none":
                 assert c.engine == "resilient"
             if c.engine == "resilient":
-                assert c.family == "er" and c.churn == 0
-            if c.churn:
-                assert c.engine.startswith("lic-")
-        # static: 2 engines x 2 fams x 2 seeds; churn: lic only 2x2;
-        # resilient: er only, 2 faults x 2 seeds
+                assert c.family == "er"
+            # churn is exactly a lid-service cell's trace length
+            assert bool(c.churn) == (c.engine == "lid-service")
+        # static: 2 engines x 2 fams x 2 seeds; churn: lid-service only,
+        # 2 fams x 2 seeds; resilient: er only, 2 faults x 2 seeds
         assert len(cells) == 8 + 4 + 4
 
     def test_cells_deterministic_and_unique(self):
@@ -79,9 +79,10 @@ class TestExpansion:
             assert " " not in c.cell_id
 
     def test_zero_compatible_cells_rejected(self):
-        with pytest.raises(ValueError, match="zero compatible"):
-            # churn-only sweep on a LID engine can never expand
-            GridSpec(name="x", engines=("lid-fast",), churn=(5,)).cells()
+        # a churn-only sweep expands only on lid-service
+        for engine in ("lid-fast", "lic-fast"):
+            with pytest.raises(ValueError, match="zero compatible"):
+                GridSpec(name="x", engines=(engine,), churn=(5,)).cells()
 
     def test_engine_backend(self):
         assert engine_backend("lic-fast") == "fast"

@@ -294,7 +294,27 @@ def _corrupt(state: dict, how: str) -> None:
     """Edit a snapshot's JSON copy into one ``restore`` must refuse."""
     adjacency = state["adjacency"]
     p = min(adjacency, key=int)
-    if how == "non-peer-neighbour":
+    if how == "null-quota":
+        state["peers"][0]["quota"] = None
+    elif how == "fractional-quota":
+        state["peers"][0]["quota"] = 2.5
+    elif how == "string-quota":
+        state["peers"][0]["quota"] = "3"
+    elif how == "null-peers":
+        state["peers"] = None
+    elif how == "missing-counters":
+        del state["counters"]
+    elif how == "null-counters":
+        state["counters"] = None
+    elif how == "null-adjacency":
+        state["adjacency"] = None
+    elif how == "adjacency-as-list":
+        state["adjacency"] = []
+    elif how == "nan-position":
+        state["peers"][0]["position"][0] = float("nan")
+    elif how == "null-interests":
+        state["peers"][0]["interests"] = None
+    elif how == "non-peer-neighbour":
         adjacency[p].append(10**6)
     elif how == "peer-without-adjacency":
         del adjacency[p]
@@ -311,6 +331,16 @@ def _corrupt(state: dict, how: str) -> None:
 
 
 CORRUPTIONS = (
+    "null-quota",
+    "fractional-quota",
+    "string-quota",
+    "null-peers",
+    "missing-counters",
+    "null-counters",
+    "null-adjacency",
+    "adjacency-as-list",
+    "nan-position",
+    "null-interests",
     "non-peer-neighbour",
     "peer-without-adjacency",
     "asymmetric",
