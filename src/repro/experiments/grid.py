@@ -299,9 +299,11 @@ def _run_service(spec: GridSpec, cell: GridCell, tel=NULL) -> dict:
 
     ``cell.churn`` is the trace length; workload shape and
     differential-check cadence come from the spec's ``service_*``
-    knobs.  A cell is healthy when the trace completes and every
-    sampled differential check conforms exactly: the served matching is
-    the fresh solve's, with no blocking edge and no oracle violation.
+    knobs.  The overlay comes from the family alone, so a spec that
+    sets ``density`` or ``degree`` rejects this engine.  A cell is
+    healthy when the trace completes and every sampled differential
+    check conforms exactly: the served matching is the fresh solve's,
+    with no blocking edge and no oracle violation.
     """
     from repro.service import ServiceConfig, run_service
 

@@ -20,9 +20,9 @@ Axes
   ``lid-service`` (the long-lived matching service under churn) or
   ``resilient`` (the fault-tolerant runtime).  The *instance* of a
   cell is seeded independently of the engine axis; with ``density`` or
-  ``degree`` set, every engine but ``lid-service``, which builds its
-  overlay from the family alone, sees the same instance (see
-  :class:`GridSpec`).
+  ``degree`` set, every engine sees the same instance.  ``lid-service``
+  builds its overlay from the family alone, so a spec that sets either
+  is rejected with it (see :class:`GridSpec`).
 - ``families`` — named topology families (:data:`FAMILIES`).
 - ``sizes`` / ``quotas`` — overlay size ``n`` and per-node quota ``b``.
 - ``churn`` — the workload-trace length a ``lid-service`` cell replays
@@ -220,9 +220,11 @@ class GridSpec:
     ``density`` (absolute ER edge probability) or ``degree`` (expected
     degree: ``p = degree / n``) switch instance generation to the plain
     Erdős–Rényi :func:`~repro.experiments.instances
-    .random_preference_instance`; both require ``families == ("er",)``.
-    Every engine of such a spec sees the same instance per ``(n, b,
-    seed)``.  Without either, static and truncated cells draw from
+    .random_preference_instance`; both require ``families == ("er",)``
+    and are rejected with the ``lid-service`` engine, which builds its
+    overlay from the family alone.  Every engine of such a spec sees
+    the same instance per ``(n, b, seed)``.  Without either, static and
+    truncated cells draw from
     :func:`~repro.experiments.instances.family_instance` (expected
     degree ≈ 8 across families), while resilient cells draw ER at
     density 0.15, so their instances differ from the other engines'.
@@ -322,6 +324,13 @@ class GridSpec:
             raise ValueError(
                 "max_rounds is only consumed by the lid-truncated engine;"
                 f" engines {self.engines} would silently ignore it"
+            )
+        if "lid-service" in self.engines and (
+            self.density is not None or self.degree is not None
+        ):
+            raise ValueError(
+                "the lid-service engine builds its overlay from the family"
+                " alone: density/degree would silently not apply to its cells"
             )
         if self.service_workload not in SERVICE_WORKLOADS:
             raise ValueError(

@@ -200,12 +200,15 @@ def greedy_repair(
     nodes that lost a partner or just joined the dirty region are
     rescanned.
 
-    Correctness: every edge whose blocking status may have changed is
-    incident to a dirty node — initial dirtiness covers all nodes whose
-    weights or adjacency changed, and each resolution dirties every node
-    it touches.  A node that gains a partner only wants *less*, so its
-    edges can only stop blocking (caught when popped); an edge can start
-    blocking only at a node that lost a partner, which is rescanned.
+    Correctness: an edge blocks iff its key beats the *bar* of both
+    endpoints — below every key while the node has spare quota, else
+    its lightest partner's key.  So ``dirty`` must hold every node whose
+    edges, quota or partners changed, and every node matched to one
+    whose edges changed: only their bars move, and a moved key has a
+    dirty endpoint.  Each resolution dirties every node it touches.  A
+    node that gains a partner only wants *less*, so its edges can only
+    stop blocking (caught when popped); an edge can start blocking only
+    at a node that lost a partner, which is rescanned.
     Termination: weight keys are a strict total order, and each
     resolution strictly improves the lexicographic profile of both
     endpoints (standard acyclic-potential argument for globally ranked
@@ -496,18 +499,19 @@ class DynamicOverlay:
 
         A churn event changes the preference lists of the peers in
         ``changed``, which rescales *all* their eq.-9 edge weights, so
-        the cache recomputes exactly those peers' edges.  An edge (y, z)
-        can change blocking status whenever y or z has a (possibly
-        matched) edge whose weight changed, so the seed includes one hop
-        of neighbours around the changed peers; the repair wave extends
-        it further as it drops partners.
+        the cache recomputes exactly those peers' edges.  The repair
+        starts from them and their partners, the seed
+        :func:`greedy_repair` requires: any other peer keeps its list,
+        quota and partners, so its bar moves only if it is matched to a
+        changed peer.  The repair wave extends the seed as it drops
+        partners.
         """
         if self._full_resolve_due():
             self.full_rematch()
             return self._account(RepairStats(), full=True)
         seed = set(changed)
         for pid in changed:
-            seed.update(self._adj.get(pid, ()))
+            seed.update(self._partners.get(pid, ()))
         reused, recomputed = self._wcache.refresh(changed)
         region = {pid for pid in seed if pid in self._peers}
         stats = greedy_repair(self._wcache, self._lists.quota, self._partners, region)

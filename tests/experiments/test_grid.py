@@ -30,7 +30,6 @@ TINY = GridSpec(
     quotas=(2,),
     churn=(0, 4),
     seeds=(0, 1),
-    density=0.35,
 )
 
 FAULTY = GridSpec(
@@ -346,7 +345,6 @@ class TestServiceEngineCells:
         quotas=(2,),
         churn=(0, 12),
         seeds=(0,),
-        density=0.35,
         service_workload="storm",
         service_differential_every=6,
     )

@@ -113,6 +113,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="er"):
             tiny_spec(density=0.3)  # families includes "ba"
 
+    @pytest.mark.parametrize("knob", [{"density": 0.3}, {"degree": 8.0}])
+    def test_service_engine_rejects_density_and_degree(self, knob):
+        # a lid-service cell builds its overlay from the family alone,
+        # so the knob would silently not apply to it
+        with pytest.raises(ValueError, match="lid-service"):
+            tiny_spec(families=("er",), **knob)
+        # accepted once no engine of the spec ignores it
+        tiny_spec(families=("er",), engines=("lic-fast", "lid-fast"), **knob)
+
     def test_bad_name(self):
         with pytest.raises(ValueError, match="name"):
             tiny_spec(name="has spaces")

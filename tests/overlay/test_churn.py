@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.analysis import weighted_blocking_edges
 from repro.core.lic import lic_matching
@@ -64,6 +65,36 @@ class TestGreedyRepair:
         stats = greedy_repair(wt, [1, 1, 1, 1, 1].__getitem__, partners, {0, 1})
         assert _edge_set(partners) == {(0, 1), (2, 3)}
         assert stats.resolutions == 2  # add (0,1); swap (2,3) in
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_changed_nodes_and_their_partners_seed_an_exact_repair(self, data):
+        # the dirty contract: every node whose edges changed, and every
+        # node matched to one, is enough to reach the new LIC matching
+        n = data.draw(st.integers(2, 9), label="n")
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [e for e, k in zip(pairs, keep) if k]
+        m = len(edges)
+        # distinct weights: ranks in one permutation, so the redrawn
+        # weights interleave with the kept ones
+        ranks = data.draw(st.permutations(range(2 * m)), label="ranks")
+        quotas = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        changed = data.draw(st.sets(st.integers(0, n - 1)), label="changed")
+        old = WeightTable({e: 1.0 + ranks[k] for k, e in enumerate(edges)}, n)
+        new = WeightTable(
+            {
+                e: 1.0 + ranks[m + k] if changed.intersection(e) else old.weight(*e)
+                for k, e in enumerate(edges)
+            },
+            n,
+        )
+        partners = _partners(n, lic_matching(old, quotas).edges())
+        dirty = set(changed)
+        for v in changed:
+            dirty |= partners[v]
+        greedy_repair(new, quotas.__getitem__, partners, dirty)
+        assert _edge_set(partners) == lic_matching(new, quotas).edge_set()
 
 
 class TestDynamicOverlay:

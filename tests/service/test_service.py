@@ -2,9 +2,9 @@
 
 Covers deterministic event application, config validation, the
 differential check failing on planted faults, the invariant →
-degraded-mode ladder (including unrecoverable corruption and
-corruption the repair itself runs into), and exact snapshot/restore
-round-trips.
+degraded-mode ladder (including unrecoverable corruption, corruption
+the repair itself runs into and corruption outside its seed), the
+repair's seed, and exact snapshot/restore round-trips.
 """
 
 import json
@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.overlay.churn import DynamicOverlay
+from repro.overlay.peer import Peer
 from repro.overlay.scenario import build_scenario
 from repro.service.differential import conformance_check
 from repro.service.events import ChurnEvent
@@ -126,7 +127,8 @@ class _AlwaysViolated(ServiceGuard):
         report.violations.append("injected: permanent fault")
 
 
-#: partner-set corruptions planted in the region an event's repair touches
+#: partner-set corruptions, planted inside or outside the region an
+#: event's repair touches
 PLANTS = ("over-quota", "non-neighbour", "departed")
 
 
@@ -254,12 +256,35 @@ class TestDegradedLadder:
         sc = build_scenario("geo_latency", 40, seed=3)
         dyn = DynamicOverlay(sc.topology, sc.peers, sc.metric)
         leaver = dyn.active_ids()[0]
-        # two hops from the leaver: inside the region the repair starts
-        # from, but the leave changes neither its list nor its partners
+        # matched to a neighbour of the leaver, not a neighbour itself:
+        # the leave changes neither its list nor its partners, but it
+        # re-weights a partner's edges, so the repair starts from it
         near = dyn._adj[leaver]
-        _plant(dyn, min(set().union(*(dyn._adj[q] for q in near)) - near - {leaver}), plant)
+        partners = set().union(*(dyn._partners[q] for q in near))
+        _plant(dyn, min(partners - near - {leaver}), plant)
         with pytest.raises(InvalidMatchingError):
             dyn.leave(leaver)
+
+    @pytest.mark.parametrize("plant", PLANTS)
+    def test_corruption_outside_the_repair_seed_degrades(self, plant):
+        # two hops from the leaver and matched to none of its
+        # neighbours: outside the seed of the leave's repair, inside the
+        # structure guard's scan of the same event
+        svc = build_service(ServiceConfig(n=40, events=0, seed=3))
+        leaver = svc.active_ids()[0]
+        near = svc._adj[leaver]
+        far = min(
+            p
+            for p in set().union(*(svc._adj[q] for q in near)) - near - {leaver}
+            if not svc._partners[p] & near
+        )
+        _plant(svc, far, plant)
+        outcome = svc.apply(ChurnEvent(seq=0, t=0.0, kind="leave", r=0))
+        assert (outcome.applied, outcome.peer_id) == (True, leaver)
+        assert outcome.guard_ok is False
+        assert svc.mode == "degraded"
+        assert svc.counters["degraded_entries"] == 1
+        assert conformance_check(svc).ok
 
     @pytest.mark.parametrize("how", ["leave", "crash", "apply"])
     def test_a_leaver_matched_to_a_departed_peer_degrades(self, how):
@@ -288,6 +313,45 @@ class TestDegradedLadder:
         # the leaver is gone completely, partnerships with live peers too
         assert leaver not in dyn._peers and leaver not in dyn._partners
         assert all(leaver not in mine for mine in dyn._partners.values())
+
+
+class TestRepairSeed:
+    """A repair starts from the changed peers and the peers matched to them."""
+
+    @pytest.mark.parametrize("kind", ["join", "leave", "update"])
+    def test_seed_is_the_changed_peers_and_their_partners(self, kind, monkeypatch):
+        import repro.overlay.churn as churn
+
+        svc = build_service(ServiceConfig(n=40, events=0, seed=3))
+        pid = max(svc.active_ids(), key=lambda p: (len(svc._partners[p]), -p))
+        before = {p: set(mine) for p, mine in svc._partners.items()}
+        seeds = []
+        real = churn.greedy_repair
+
+        def spy(wt, quota, partners, dirty):
+            seeds.append(set(dirty))
+            return real(wt, quota, partners, dirty)
+
+        monkeypatch.setattr(churn, "greedy_repair", spy)
+        if kind == "join":
+            neigh = sorted(svc._adj[pid])[:4]
+            joiner, _ = svc.join(Peer(peer_id=-1, position=(0.5, 0.5)), neigh)
+            changed = {joiner, *neigh}
+        elif kind == "leave":
+            changed = set(svc._adj[pid])
+            svc.leave(pid)
+        else:
+            changed = {pid} | svc._adj[pid]
+            svc.update_position(pid, (0.5, 0.5))
+        gone = {pid} if kind == "leave" else set()
+        expected = set(changed)
+        for q in changed:
+            expected |= before.get(q, set()) - gone
+        assert seeds == [expected]
+        # strictly inside the changed peers' neighbourhoods, so a seed
+        # that takes them whole fails the pin
+        two_hops = changed.union(*(svc._adj[q] for q in changed))
+        assert expected < two_hops
 
 
 def _corrupt(state: dict, how: str) -> None:
