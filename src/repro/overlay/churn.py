@@ -217,10 +217,11 @@ def greedy_repair(
     Robustness (the contract the long-lived service relies on):
 
     - A partner ``wt`` holds no edge to — a departed peer or a
-      non-neighbour — is corrupt input: when the repair weighs it, it
-      raises :class:`~repro.utils.validation.InvalidMatchingError`, not
-      a bare ``KeyError``.  Churn never produces one: a leave drops the
-      leaver's partnerships before the repair runs.
+      non-neighbour — and a node the repair reaches that has no partner
+      set are corrupt input: the repair raises
+      :class:`~repro.utils.validation.InvalidMatchingError` when it
+      meets one, not a bare ``KeyError``.  Churn never produces either:
+      a leave drops the leaver's partnerships before the repair runs.
     - The repair always runs to the no-blocking-edge fixpoint: the
       unique LIC matching of the current weights, given that every
       blocking edge starts at a dirty node.  A run past ``_MAX_STEPS``
@@ -233,9 +234,15 @@ def greedy_repair(
     # every key while v has spare quota, else its lightest partner's key
     bar: dict[int, tuple] = {}
 
+    def partners_of(v: int) -> set[int]:
+        try:
+            return partners[v]
+        except KeyError:
+            raise InvalidMatchingError(f"peer {v} holds no partner set") from None
+
     def bar_of(v: int) -> tuple:
         if v not in bar:
-            mine = partners[v]
+            mine = partners_of(v)
             if len(mine) < quota(v):
                 bar[v] = _SPARE
             else:
@@ -251,7 +258,7 @@ def greedy_repair(
     heap: list[tuple[float, int, int]] = []
 
     def scan(v: int) -> None:
-        mine = partners[v]
+        mine = partners_of(v)
         for u in neighbours(v):
             stats.edges_scanned += 1
             if u in mine:
@@ -277,7 +284,7 @@ def greedy_repair(
                 _, a, b = lightest
                 worst = b if a == v else a
                 partners[v].discard(worst)
-                partners[worst].discard(v)
+                partners_of(worst).discard(v)
                 bar.pop(worst, None)
                 dirty.add(worst)
                 rescan.append(worst)
@@ -504,7 +511,10 @@ class DynamicOverlay:
         :func:`greedy_repair` requires: any other peer keeps its list,
         quota and partners, so its bar moves only if it is matched to a
         changed peer.  The repair wave extends the seed as it drops
-        partners.
+        partners.  The finished region must pass
+        :meth:`partner_violations`, else
+        :class:`~repro.utils.validation.InvalidMatchingError` carries
+        every violation it found.
         """
         if self._full_resolve_due():
             self.full_rematch()
@@ -517,27 +527,53 @@ class DynamicOverlay:
         stats = greedy_repair(self._wcache, self._lists.quota, self._partners, region)
         stats.weights_reused = reused
         stats.weights_recomputed = recomputed
-        self._check_region(region)
+        violations = self.partner_violations(region)
+        if violations:
+            raise InvalidMatchingError("; ".join(violations))
         return self._account(stats, full=False)
 
-    def _check_region(self, region: set[int]) -> None:
-        """Capacity and adjacency of every peer a repair touched.
+    def partner_violations(self, pids: Iterable[int]) -> list[str]:
+        """The b-matching rule (paper §2) over the partner sets of ``pids``.
 
-        Peers outside the region kept their partners, lists and quotas
-        through the event, so this prices the check by the region.
+        A live peer holds a partner set of at most ``quota`` live
+        overlay neighbours, each of which holds it back; a departed
+        peer holds none.  Returns one message per breach, in the order
+        found, and ``[]`` when every peer in ``pids`` keeps the rule.
+        The repair checks its region with it and the service's
+        structure guard every live or matched peer.  The raw ``quota``
+        is enough: a set of neighbours exceeds the clamped quota
+        ``min(quota, |adj|)`` exactly when it exceeds ``quota``.
         """
-        for pid in region:
-            mine = self._partners[pid]
-            quota = self._lists.quota(pid)
-            if len(mine) > quota:
-                raise InvalidMatchingError(
-                    f"peer {pid} has {len(mine)} connections, quota {quota}"
+        peers, adj, partners = self._peers, self._adj, self._partners
+        found = []
+        for pid in pids:
+            mine = partners.get(pid)
+            peer = peers.get(pid)
+            if peer is None:
+                if mine is not None:
+                    found.append(f"liveness: departed peer {pid} still holds partners")
+                continue
+            if mine is None:
+                found.append(f"liveness: live peer {pid} holds no partner set")
+                continue
+            if len(mine) > peer.quota:
+                found.append(
+                    f"capacity: peer {pid} holds {len(mine)} partners"
+                    f" (quota {peer.quota})"
                 )
-            if not mine <= self._adj[pid]:
-                raise InvalidMatchingError(
-                    f"peer {pid} matched to non-neighbours"
-                    f" {sorted(mine - self._adj[pid])}"
-                )
+            near = adj[pid]
+            for q in mine:
+                # adjacency names live peers only, so a neighbour is live
+                if q not in near:
+                    if q not in peers:
+                        found.append(f"liveness: peer {pid} matched to departed peer {q}")
+                        continue
+                    found.append(
+                        f"mutual consent: peer {pid} matched to non-neighbour {q}"
+                    )
+                if pid not in partners.get(q, ()):
+                    found.append(f"mutual consent: {pid} ~ {q} is asymmetric")
+        return found
 
     # -- policy hooks (the service overrides them) --------------------------
 

@@ -7,7 +7,8 @@ through that churn:
 
 - :mod:`repro.service.events` — deterministic seeded workload traces
   (Poisson arrivals, flash crowds, diurnal load, adversarial join/leave
-  storms built on :mod:`repro.distsim.failures` schedules);
+  storms built on :mod:`repro.distsim.failures` schedules) whose
+  joiners take the run's quota;
 - :mod:`repro.service.service` — :class:`MatchingService`, the
   long-lived engine: per churn event it recomputes only the affected
   region (:func:`~repro.overlay.churn.greedy_repair` warm-started from
@@ -15,9 +16,11 @@ through that churn:
   the incremental :class:`~repro.overlay.churn.WeightCache`), so every
   served matching is the LIC matching; it falls back to a full re-solve
   only when an invariant trips;
-- :mod:`repro.service.guards` — runtime invariant guards (capacity,
-  mutual consent, eq.-9 weight consistency) that demote the service to
-  a degraded full-re-solve mode instead of serving a corrupt matching;
+- :mod:`repro.service.guards` — runtime invariant guards (the
+  partner-set rule the repair also runs over its region: capacity,
+  liveness, adjacency and symmetry; and eq.-9 weight consistency) that
+  demote the service to a degraded full-re-solve mode instead of
+  serving a corrupt matching;
 - :mod:`repro.service.checkpoint` — crash-consistent versioned
   snapshots of the peers, adjacency, counters and ladder position at
   an event cursor: a killed service validates them, re-derives its

@@ -1,11 +1,15 @@
 """Deterministic churn workloads for the long-lived matching service.
 
 A workload is a :class:`WorkloadTrace`: a pure function of ``(driver
-name, event count, seed, parameters)``.  Every event carries *all* the
-random material it needs (selector entropy ``r``, join coordinates,
-quotas), drawn at generation time — resolving an event against the live
-overlay (which peer leaves, which neighbours a joiner attaches to) is a
-deterministic function of ``(event, current state)``.  That makes
+name, event count, seed, quota)``.  The quota is the joiners' ``b_i``;
+a service run passes its :class:`~repro.service.runner.ServiceConfig`
+quota, so joiners keep the quota the initial peers have.  Every other
+shape of a workload (rate, join degree, event mixes, phase lengths) is a
+module constant.  Every event carries *all* the random material it
+needs (selector entropy ``r``, join coordinates, quotas), drawn at
+generation time — resolving an event against the live overlay (which
+peer leaves, which neighbours a joiner attaches to) is a deterministic
+function of ``(event, current state)``.  That makes
 replay trivially crash-consistent: a restored service needs only the
 trace parameters and an event cursor, never an RNG state.
 
@@ -48,6 +52,31 @@ EVENT_KINDS = ("join", "leave", "crash", "update")
 
 #: selector entropy is bounded so event records stay portable JSON ints
 _R_MAX = 2**53
+
+#: base arrival rate of every workload, events per unit of virtual time
+RATE = 10.0
+#: a joiner attaches to JOIN_DEGREE - 1 .. JOIN_DEGREE + 1 live peers
+JOIN_DEGREE = 4
+#: the Poisson event mix; the slight join surplus keeps the population
+#: from draining over long traces, and updates take the remainder
+POISSON_MIX = (("join", 0.42), ("leave", 0.33), ("crash", 0.05),
+               ("update", 1.0 - 0.42 - 0.33 - 0.05))
+#: flash crowd: the shares of the trace in the join surge and in the
+#: mixed plateau (the exodus takes the rest), and the two mixed phases
+FLASH_SURGE_FRAC = 0.4
+FLASH_PLATEAU_FRAC = 0.3
+FLASH_PLATEAU_MIX = (("join", 0.3), ("leave", 0.3), ("crash", 0.05),
+                     ("update", 0.35))
+FLASH_EXODUS_MIX = (("join", 0.05), ("leave", 0.6), ("crash", 0.3),
+                    ("update", 0.05))
+#: diurnal load: the length of a day in virtual time and the relative
+#: swing of the arrival rate over it
+DIURNAL_PERIOD = 24.0
+DIURNAL_AMPLITUDE = 0.8
+#: storms: events per burst, and the share of a departure storm's exits
+#: that are ungraceful crashes
+STORM_LEN = 16
+STORM_CRASH_FRAC = 0.5
 
 
 @dataclass(frozen=True)
@@ -167,13 +196,13 @@ def _draw_r(rng) -> int:
     return int(rng.integers(0, _R_MAX))
 
 
-def _join(seq: int, t: float, rng, quota: int, degree: int) -> ChurnEvent:
+def _join(seq: int, t: float, rng, quota: int) -> ChurnEvent:
     return ChurnEvent(
         seq=seq,
         t=t,
         kind="join",
         r=_draw_r(rng),
-        degree=int(rng.integers(max(1, degree - 1), degree + 2)),
+        degree=int(rng.integers(JOIN_DEGREE - 1, JOIN_DEGREE + 2)),
         quota=quota,
         position=(float(rng.uniform(0, 1)), float(rng.uniform(0, 1))),
     )
@@ -193,163 +222,114 @@ def _update(seq: int, t: float, rng) -> ChurnEvent:
     )
 
 
-def _mixed_event(seq, t, rng, mix, quota, degree) -> ChurnEvent:
+def _mixed_event(seq, t, rng, mix, quota) -> ChurnEvent:
     kinds, probs = zip(*mix)
     kind = kinds[int(rng.choice(len(kinds), p=list(probs)))]
     if kind == "join":
-        return _join(seq, t, rng, quota, degree)
+        return _join(seq, t, rng, quota)
     if kind == "update":
         return _update(seq, t, rng)
     return _victim(seq, t, rng, kind)
 
 
-def poisson_trace(
-    events: int,
-    seed: int,
-    rate: float = 10.0,
-    quota: int = 3,
-    degree: int = 4,
-    join_frac: float = 0.42,
-    leave_frac: float = 0.33,
-    crash_frac: float = 0.05,
-) -> WorkloadTrace:
-    """Memoryless churn: exponential inter-arrivals, fixed event mix.
-
-    The slight join surplus keeps the population from draining over
-    long traces; the remainder after joins/leaves/crashes are
-    preference updates.
-    """
+def _check_counts(events: int, quota: int) -> None:
     if events < 0:
         raise ValueError(f"events must be >= 0, got {events}")
-    update_frac = 1.0 - join_frac - leave_frac - crash_frac
-    if update_frac < 0:
-        raise ValueError("join/leave/crash fractions exceed 1")
+    if quota < 1:
+        raise ValueError(f"quota must be >= 1, got {quota}")
+
+
+def poisson_trace(events: int, seed: int, quota: int) -> WorkloadTrace:
+    """Memoryless churn: exponential inter-arrivals, :data:`POISSON_MIX`."""
+    _check_counts(events, quota)
     rng = spawn_rng(seed, "service-poisson")
-    mix = [("join", join_frac), ("leave", leave_frac),
-           ("crash", crash_frac), ("update", update_frac)]
     t = 0.0
     out = []
     for seq in range(events):
-        t += float(rng.exponential(1.0 / rate))
-        out.append(_mixed_event(seq, t, rng, mix, quota, degree))
+        t += float(rng.exponential(1.0 / RATE))
+        out.append(_mixed_event(seq, t, rng, POISSON_MIX, quota))
     return WorkloadTrace("poisson", seed, tuple(out))
 
 
-def flash_crowd_trace(
-    events: int,
-    seed: int,
-    rate: float = 10.0,
-    quota: int = 3,
-    degree: int = 4,
-    surge_frac: float = 0.4,
-    plateau_frac: float = 0.3,
-) -> WorkloadTrace:
+def flash_crowd_trace(events: int, seed: int, quota: int) -> WorkloadTrace:
     """A flash crowd: join surge → mixed plateau → mass exodus.
 
     The surge arrives an order of magnitude faster than the plateau;
     the exodus mixes graceful leaves with ungraceful crashes (a crowd
     closing laptops, not saying goodbye).
     """
-    if events < 0:
-        raise ValueError(f"events must be >= 0, got {events}")
+    _check_counts(events, quota)
     rng = spawn_rng(seed, "service-flash")
-    surge = int(events * surge_frac)
-    plateau = int(events * plateau_frac)
-    plateau_mix = [("join", 0.3), ("leave", 0.3), ("crash", 0.05),
-                   ("update", 0.35)]
-    exodus_mix = [("join", 0.05), ("leave", 0.6), ("crash", 0.3),
-                  ("update", 0.05)]
+    surge = int(events * FLASH_SURGE_FRAC)
+    plateau = int(events * FLASH_PLATEAU_FRAC)
     t = 0.0
     out = []
     for seq in range(events):
         if seq < surge:
-            t += float(rng.exponential(1.0 / (10.0 * rate)))
-            out.append(_join(seq, t, rng, quota, degree))
+            t += float(rng.exponential(1.0 / (10.0 * RATE)))
+            out.append(_join(seq, t, rng, quota))
         elif seq < surge + plateau:
-            t += float(rng.exponential(1.0 / rate))
-            out.append(_mixed_event(seq, t, rng, plateau_mix, quota, degree))
+            t += float(rng.exponential(1.0 / RATE))
+            out.append(_mixed_event(seq, t, rng, FLASH_PLATEAU_MIX, quota))
         else:
-            t += float(rng.exponential(1.0 / (4.0 * rate)))
-            out.append(_mixed_event(seq, t, rng, exodus_mix, quota, degree))
+            t += float(rng.exponential(1.0 / (4.0 * RATE)))
+            out.append(_mixed_event(seq, t, rng, FLASH_EXODUS_MIX, quota))
     return WorkloadTrace("flash", seed, tuple(out))
 
 
-def diurnal_trace(
-    events: int,
-    seed: int,
-    rate: float = 10.0,
-    quota: int = 3,
-    degree: int = 4,
-    period: float = 24.0,
-    amplitude: float = 0.8,
-) -> WorkloadTrace:
+def diurnal_trace(events: int, seed: int, quota: int) -> WorkloadTrace:
     """Diurnal load: rate and join/leave balance follow a day cycle.
 
     Daytime (phase ∈ [0, ½)) churns fast and join-heavy; nighttime slow
     and leave-heavy — the classic measured P2P session pattern.
     """
-    import math
-
-    if events < 0:
-        raise ValueError(f"events must be >= 0, got {events}")
-    if not (0.0 <= amplitude < 1.0):
-        raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
+    _check_counts(events, quota)
     rng = spawn_rng(seed, "service-diurnal")
     t = 0.0
     out = []
     for seq in range(events):
-        phase = math.sin(2.0 * math.pi * t / period)
-        t += float(rng.exponential(1.0 / (rate * (1.0 + amplitude * phase))))
+        phase = math.sin(2.0 * math.pi * t / DIURNAL_PERIOD)
+        t += float(rng.exponential(1.0 / (RATE * (1.0 + DIURNAL_AMPLITUDE * phase))))
         join_p = 0.40 + 0.25 * phase  # day: joins dominate; night: leaves
         leave_p = 0.40 - 0.25 * phase
         mix = [("join", join_p), ("leave", leave_p), ("crash", 0.05),
                ("update", 1.0 - join_p - leave_p - 0.05)]
-        out.append(_mixed_event(seq, t, rng, mix, quota, degree))
+        out.append(_mixed_event(seq, t, rng, mix, quota))
     return WorkloadTrace("diurnal", seed, tuple(out))
 
 
-def storm_trace(
-    events: int,
-    seed: int,
-    rate: float = 10.0,
-    quota: int = 3,
-    degree: int = 4,
-    storm_len: int = 16,
-    crash_frac: float = 0.5,
-) -> WorkloadTrace:
+def storm_trace(events: int, seed: int, quota: int) -> WorkloadTrace:
     """Adversarial alternating join/leave storms.
 
-    Bursts of ``storm_len`` back-to-back joins alternate with equally
-    long departure storms in which a ``crash_frac`` fraction of exits
-    are ungraceful.  The crash sub-schedule of each departure storm is
-    round-tripped through :class:`repro.distsim.failures.CrashSchedule`
-    so storm traces share the fault campaign's validated timing model
-    (positive finite times, canonical ordering).
+    Bursts of :data:`STORM_LEN` back-to-back joins alternate with
+    equally long departure storms in which a :data:`STORM_CRASH_FRAC`
+    share of exits are ungraceful.  The crash sub-schedule of each
+    departure storm is round-tripped through
+    :class:`repro.distsim.failures.CrashSchedule` so storm traces share
+    the fault campaign's validated timing model (positive finite times,
+    canonical ordering).
     """
     from repro.distsim.failures import CrashSchedule
 
-    if events < 0:
-        raise ValueError(f"events must be >= 0, got {events}")
-    if storm_len < 1:
-        raise ValueError(f"storm_len must be >= 1, got {storm_len}")
+    _check_counts(events, quota)
     rng = spawn_rng(seed, "service-storm")
     t = 0.0
     out: list[ChurnEvent] = []
     seq = 0
     joining = True
     while seq < events:
-        burst = min(storm_len, events - seq)
+        burst = min(STORM_LEN, events - seq)
         times = []
         for _ in range(burst):
-            t += float(rng.exponential(1.0 / (20.0 * rate)))
+            t += float(rng.exponential(1.0 / (20.0 * RATE)))
             times.append(t)
         if joining:
             for bt in times:
-                out.append(_join(seq, bt, rng, quota, degree))
+                out.append(_join(seq, bt, rng, quota))
                 seq += 1
         else:
             crashes = [(bt, k) for k, bt in enumerate(times)
-                       if rng.random() < crash_frac]
+                       if rng.random() < STORM_CRASH_FRAC]
             # validate the ungraceful sub-schedule exactly as the fault
             # campaign would: CrashSchedule canonicalises and rejects
             # malformed (time, slot) pairs
@@ -358,12 +338,12 @@ def storm_trace(
                 kind = "crash" if k in crash_slots else "leave"
                 out.append(_victim(seq, bt, rng, kind))
                 seq += 1
-        t += float(rng.exponential(4.0 / rate))  # lull between storms
+        t += float(rng.exponential(4.0 / RATE))  # lull between storms
         joining = not joining
     return WorkloadTrace("storm", seed, tuple(out))
 
 
-WORKLOADS: dict[str, Callable[..., WorkloadTrace]] = {
+WORKLOADS: dict[str, Callable[[int, int, int], WorkloadTrace]] = {
     "poisson": poisson_trace,
     "flash": flash_crowd_trace,
     "diurnal": diurnal_trace,
@@ -371,12 +351,12 @@ WORKLOADS: dict[str, Callable[..., WorkloadTrace]] = {
 }
 
 
-def make_trace(workload: str, events: int, seed: int, **params) -> WorkloadTrace:
+def make_trace(workload: str, events: int, seed: int, quota: int) -> WorkloadTrace:
     """Build the named workload's trace (deterministic in all inputs)."""
     try:
-        driver = WORKLOADS[workload]
+        generate = WORKLOADS[workload]
     except KeyError:
         raise ValueError(
             f"unknown workload {workload!r}; known: {sorted(WORKLOADS)}"
         ) from None
-    return driver(events, seed, **params)
+    return generate(events, seed, quota)

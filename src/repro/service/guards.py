@@ -6,12 +6,12 @@ trace (the same per-transition philosophy as
 :class:`repro.distsim.invariants.InvariantMonitor`, lifted to the
 service's external-id state).  Checks:
 
-- **capacity** — no peer holds more partners than its quota
-  (:func:`repro.testing.oracles.check_quota` over the compact view is
-  the slow-path oracle; the guard checks the same property directly on
-  the external partner sets in O(n));
-- **mutual consent** — every matched edge joins two live peers that are
-  overlay neighbours, and partnership is symmetric;
+- **the partner-set rule** — capacity, liveness, adjacency and symmetry
+  of every live or matched peer's partner set, in O(n) per pass.  The
+  rule is :meth:`repro.overlay.churn.DynamicOverlay.partner_violations`,
+  the one the repair also runs over the region it touched, so the two
+  cannot disagree; :func:`repro.testing.oracles.check_quota` and its
+  siblings over the compact view are the slow-path oracles;
 - **eq.-9 weight consistency** — a deterministic sample of cached
   weights must equal, *exactly*, a recomputation from a fresh metric
   ranking of each sampled edge's two endpoints, with the scalar
@@ -40,8 +40,6 @@ WEIGHT_SAMPLE = 32
 class GuardReport:
     """Outcome of one guard pass."""
 
-    checked_peers: int = 0
-    checked_weights: int = 0
     violations: list[str] = field(default_factory=list)
 
     @property
@@ -63,38 +61,10 @@ class ServiceGuard:
     # -- structural invariants -----------------------------------------
 
     def check_structure(self, service, report: GuardReport) -> None:
-        """Capacity, liveness and mutual consent over the partner sets."""
-        peers = service._peers
-        adj = service._adj
-        partners = service._partners
-        for pid, mine in partners.items():
-            report.checked_peers += 1
-            peer = peers.get(pid)
-            if peer is None:
-                report.violations.append(
-                    f"liveness: departed peer {pid} still holds partners"
-                )
-                continue
-            if len(mine) > peer.quota:
-                report.violations.append(
-                    f"capacity: peer {pid} holds {len(mine)} partners"
-                    f" (quota {peer.quota})"
-                )
-            for q in mine:
-                if q not in peers:
-                    report.violations.append(
-                        f"liveness: peer {pid} matched to departed peer {q}"
-                    )
-                    continue
-                if q not in adj[pid]:
-                    report.violations.append(
-                        f"mutual consent: peer {pid} matched to"
-                        f" non-neighbour {q}"
-                    )
-                if pid not in partners.get(q, ()):
-                    report.violations.append(
-                        f"mutual consent: {pid} ~ {q} is asymmetric"
-                    )
+        """The partner-set rule over every live or matched peer."""
+        report.violations += service.partner_violations(
+            service._peers.keys() | service._partners.keys()
+        )
 
     # -- eq.-9 weight consistency --------------------------------------
 
@@ -142,7 +112,6 @@ class ServiceGuard:
                     f"weight cache: entry ({pa}, {pb}) is not an instance edge"
                 )
                 continue
-            report.checked_weights += 1
             expect = delta(pa, pb) + delta(pb, pa)
             if cached[(pa, pb)] != expect:
                 report.violations.append(

@@ -88,7 +88,8 @@ class ServiceConfig:
             )
 
     def trace(self) -> WorkloadTrace:
-        return make_trace(self.workload, self.events, self.seed)
+        """The workload trace; its joiners take this config's quota."""
+        return make_trace(self.workload, self.events, self.seed, self.quota)
 
     def metric(self):
         """The service metric, reconstructible from the config alone.
@@ -111,8 +112,10 @@ def _run_fingerprint(config: ServiceConfig, trace_fingerprint: str) -> str:
     """12-hex digest pinning a run's checkpoints to that run.
 
     It covers the trace plus every config field that shapes the served
-    state.  Configs that share a trace but differ in ``n``, ``quota`` or
-    ``family`` therefore never restore each other's checkpoints.
+    state.  Configs that share a trace but differ in ``n`` or ``family``
+    therefore never restore each other's checkpoints, nor do configs
+    that differ in ``quota``, whose traces differ too unless they hold
+    no join.
     """
     pinned = {k: v for k, v in asdict(config).items() if k not in _CADENCE_FIELDS}
     canon = json.dumps([trace_fingerprint, pinned], sort_keys=True, separators=(",", ":"))

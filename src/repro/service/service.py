@@ -16,8 +16,9 @@ into something deployable:
   event's pre-drawn entropy, joiners derive their attachment points
   from a generator seeded with it;
 - **invariant guards and the degraded-mode ladder** — after every event
-  a :class:`~repro.service.guards.ServiceGuard` pass checks capacity,
-  mutual consent and (sampled) eq.-9 weight consistency.  A violation
+  a :class:`~repro.service.guards.ServiceGuard` pass checks the
+  partner-set rule (capacity, liveness, mutual consent) and (sampled)
+  eq.-9 weight consistency.  A violation
   demotes the service to *degraded* mode: the ranked lists are
   re-scored, the weight cache rebuilt from them and the matching fully
   re-solved, and every event is answered by a full re-solve until

@@ -8,8 +8,10 @@ from repro.core.analysis import weighted_blocking_edges
 from repro.core.lic import lic_matching
 from repro.core.weights import WeightTable, satisfaction_weights
 from repro.overlay.churn import DynamicOverlay, WeightCache, greedy_repair
+from repro.overlay.metrics import DistanceMetric
 from repro.overlay.peer import Peer
 from repro.overlay.scenario import build_scenario
+from repro.overlay.topology import Topology
 
 
 def _dyn(n=24, seed=3, metric=None):
@@ -285,12 +287,82 @@ class TestGreedyRepairHardening:
         with pytest.raises(InvalidMatchingError, match="peer 0 is matched across a non-edge"):
             greedy_repair(wt, quotas.__getitem__, partners, {0})
 
+    @pytest.mark.parametrize("missing", [0, 1, 2])
+    def test_node_without_a_partner_set_is_invalid(self, missing):
+        # repairing from 0 scans 0, weighs its neighbour 1 and takes edge
+        # 0-1, so 1 drops its partner 2: whichever of them holds no
+        # partner set is corrupt input, reported instead of a bare KeyError
+        from repro.utils.validation import InvalidMatchingError
+
+        wt, quotas = self._chain()
+        partners = _partners(4, [(1, 2)])
+        del partners[missing]
+        with pytest.raises(InvalidMatchingError, match=f"peer {missing} holds no partner set"):
+            greedy_repair(wt, quotas.__getitem__, partners, {0})
+
     def test_edgeless_instance_returns_clean_stats(self):
         # a fully-departed neighbourhood: nodes remain but no edges do
         stats = greedy_repair(
             WeightTable({}, 4), [1, 1, 1, 1].__getitem__, _partners(4), {0, 1, 2, 3}
         )
         assert stats.resolutions == 0
+
+
+def _hand_overlay() -> DynamicOverlay:
+    """Triangle 0-1-2 with 3 hanging off 2, quota 2, matched 0-1 and 2-3."""
+    topology = Topology([[1, 2], [0, 2], [0, 1, 3], [2]], None, "hand")
+    peers = [Peer(peer_id=k, position=(0.1 * k, 0.0), quota=2) for k in range(4)]
+    dyn = DynamicOverlay(topology, peers, DistanceMetric())
+    dyn._partners = {0: {1}, 1: {0}, 2: {3}, 3: {2}}
+    return dyn
+
+
+def _breach(partners: dict[int, set[int]], kind: str) -> None:
+    """Plant one breach of the partner-set rule in ``_hand_overlay``."""
+    if kind == "departed-holder":
+        partners[9] = {0}
+    elif kind == "no-set":
+        del partners[3]
+    elif kind == "over-quota":
+        partners[2] |= {0, 1}
+        partners[0].add(2)
+        partners[1].add(2)
+    elif kind == "departed-partner":
+        partners[0].add(9)
+    elif kind == "non-neighbour":
+        partners[1].add(3)
+        partners[3].add(1)
+    else:
+        partners[0].add(2)  # asymmetric
+
+
+#: each breach, the peer whose set shows it, and the one message for it
+BREACHES = [
+    ("departed-holder", 9, "liveness: departed peer 9 still holds partners"),
+    ("no-set", 3, "liveness: live peer 3 holds no partner set"),
+    ("over-quota", 2, "capacity: peer 2 holds 3 partners (quota 2)"),
+    ("departed-partner", 0, "liveness: peer 0 matched to departed peer 9"),
+    ("non-neighbour", 1, "mutual consent: peer 1 matched to non-neighbour 3"),
+    ("asymmetric", 0, "mutual consent: 0 ~ 2 is asymmetric"),
+]
+
+
+class TestPartnerViolations:
+    """The one partner-set rule the repair and the service guard run."""
+
+    def test_clean_overlay(self):
+        dyn = _hand_overlay()
+        assert dyn.partner_violations(range(4)) == []
+        # an id that is neither live nor matched breaks nothing
+        assert dyn.partner_violations([9]) == []
+
+    @pytest.mark.parametrize("kind, pid, message", BREACHES, ids=[b[0] for b in BREACHES])
+    def test_one_message_per_breach(self, kind, pid, message):
+        dyn = _hand_overlay()
+        _breach(dyn._partners, kind)
+        assert dyn.partner_violations([pid]) == [message]
+        everyone = dyn._peers.keys() | dyn._partners.keys()
+        assert message in dyn.partner_violations(everyone)
 
 
 class TestOverlayChurnEdgeCases:

@@ -34,16 +34,16 @@ class TestChurnEvent:
 class TestDrivers:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_deterministic_in_seed(self, name):
-        a = make_trace(name, 60, seed=7)
-        b = make_trace(name, 60, seed=7)
-        other = make_trace(name, 60, seed=8)
+        a = make_trace(name, 60, seed=7, quota=3)
+        b = make_trace(name, 60, seed=7, quota=3)
+        other = make_trace(name, 60, seed=8, quota=3)
         assert a.events == b.events
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != other.fingerprint()
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_length_kinds_and_monotone_time(self, name):
-        trace = make_trace(name, 50, seed=1)
+        trace = make_trace(name, 50, seed=1, quota=3)
         assert len(trace) == 50
         assert sum(trace.kind_counts().values()) == 50
         for e in trace.events:
@@ -57,19 +57,25 @@ class TestDrivers:
     def test_json_round_trip_preserves_fingerprint(self, name):
         import json
 
-        trace = make_trace(name, 30, seed=5)
+        trace = make_trace(name, 30, seed=5, quota=3)
         records = json.loads(json.dumps([e.to_record() for e in trace.events]))
         rebuilt = tuple(ChurnEvent.from_record(r) for r in records)
         assert rebuilt == trace.events
 
     def test_poisson_mix_validation(self):
-        with pytest.raises(ValueError, match="exceed 1"):
-            poisson_trace(10, 0, join_frac=0.6, leave_frac=0.5)
         with pytest.raises(ValueError, match="events"):
-            poisson_trace(-1, 0)
+            poisson_trace(-1, 0, 3)
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_joiners_carry_the_quota(self, name):
+        trace = make_trace(name, 50, seed=1, quota=2)
+        joins = [e for e in trace.events if e.kind == "join"]
+        assert joins and {e.quota for e in joins} == {2}
+        with pytest.raises(ValueError, match="quota"):
+            make_trace(name, 50, seed=1, quota=0)
 
     def test_storm_alternates_and_mixes_crashes(self):
-        trace = storm_trace(64, seed=3, storm_len=16)
+        trace = storm_trace(64, seed=3, quota=3)
         kinds = [e.kind for e in trace.events]
         # first storm is pure joins, second pure departures
         assert set(kinds[:16]) == {"join"}
@@ -77,13 +83,9 @@ class TestDrivers:
         counts = trace.kind_counts()
         assert counts["crash"] > 0 and counts["leave"] > 0
 
-    def test_storm_len_validation(self):
-        with pytest.raises(ValueError, match="storm_len"):
-            storm_trace(10, 0, storm_len=0)
-
     def test_make_trace_unknown_workload(self):
         with pytest.raises(ValueError, match="unknown workload"):
-            make_trace("tsunami", 10, 0)
+            make_trace("tsunami", 10, 0, 3)
 
     def test_gridspec_workload_names_stay_in_sync(self):
         # gridspec keeps a literal copy to avoid an import cycle; this

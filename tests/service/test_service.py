@@ -65,6 +65,13 @@ class TestDeterminism:
         )
         assert counts["joins"] == trace_counts["join"]
 
+    def test_joiners_take_the_config_quota(self):
+        config = ServiceConfig(n=30, quota=1, events=40)
+        svc = run_service(config).service
+        joiners = [p for pid, p in svc._peers.items() if pid >= config.n]
+        assert joiners
+        assert all(p.quota == 1 and len(svc._partners[p.peer_id]) <= 1 for p in joiners)
+
     def test_run_report_shape(self):
         report = run_service(_small()).report
         assert report["engine"] == "lid-service"
@@ -129,7 +136,7 @@ class _AlwaysViolated(ServiceGuard):
 
 #: partner-set corruptions, planted inside or outside the region an
 #: event's repair touches
-PLANTS = ("over-quota", "non-neighbour", "departed")
+PLANTS = ("over-quota", "non-neighbour", "departed", "no-set")
 
 
 def _plant(overlay: DynamicOverlay, peer: int, plant: str) -> None:
@@ -140,8 +147,10 @@ def _plant(overlay: DynamicOverlay, peer: int, plant: str) -> None:
         assert len(mine) > overlay._lists.quota(peer)
     elif plant == "non-neighbour":
         mine.add(max(set(overlay._peers) - overlay._adj[peer] - {peer}))
-    else:
+    elif plant == "departed":
         mine.add(10**6)  # an id no live peer holds
+    else:
+        del overlay._partners[peer]
 
 
 class TestDegradedLadder:
@@ -264,6 +273,29 @@ class TestDegradedLadder:
         _plant(dyn, min(partners - near - {leaver}), plant)
         with pytest.raises(InvalidMatchingError):
             dyn.leave(leaver)
+
+    @pytest.mark.parametrize("plant", ["over-quota", "non-neighbour", "departed"])
+    def test_bare_overlay_reports_what_the_guard_reports(self, plant):
+        # the repair's region check and the structure guard run one rule,
+        # so a plant the region check meets fails the leave with the text
+        # the guard then finds in the whole overlay
+        sc = build_scenario("geo_latency", 40, seed=3)
+        dyn = DynamicOverlay(sc.topology, sc.peers, sc.metric)
+        leaver = dyn.active_ids()[0]
+        # a partner of the leaver with a spare slot: the leave frees
+        # another, so the repair weighs no non-edge at it and leaves the
+        # plant to the region check
+        partner = min(
+            q for q in dyn._partners[leaver]
+            if len(dyn._partners[q]) < dyn._lists.quota(q)
+        )
+        _plant(dyn, partner, plant)
+        with pytest.raises(InvalidMatchingError) as raised:
+            dyn.leave(leaver)
+        report = GuardReport()
+        ServiceGuard().check_structure(dyn, report)
+        assert report.violations
+        assert str(raised.value) == "; ".join(report.violations)
 
     @pytest.mark.parametrize("plant", PLANTS)
     def test_corruption_outside_the_repair_seed_degrades(self, plant):
